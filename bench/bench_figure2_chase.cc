@@ -3,10 +3,7 @@
 // chase-tree properties verified at every size.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "chase/chase.h"
@@ -58,40 +55,6 @@ void BM_ChaseRunningExample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChaseRunningExample)->Arg(4)->Arg(16)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-// Thread sweep for the piece-parallel chase: same workload as
-// BM_ChaseRunningExample at the largest size, swept over worker-lane
-// counts {1, 2, 4, hardware_concurrency}. Results are byte-identical by
-// construction; only the wall clock may differ. The `lanes` counter
-// lands in BENCH_bench_figure2_chase.json for tools/bench_diff.py.
-void BM_ChaseParallelSweep(benchmark::State& state) {
-  int pubs = static_cast<int>(state.range(0));
-  int lanes = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    state.PauseTiming();
-    SymbolTable syms;
-    Theory t = MustTheory(kRunningExample, &syms);
-    Database db = PublicationDatabase(pubs, &syms);
-    state.ResumeTiming();
-    ChaseOptions opts;
-    opts.num_threads = static_cast<size_t>(lanes);
-    ChaseResult r = Chase(t, db, &syms, opts);
-    benchmark::DoNotOptimize(r.database.size());
-    state.counters["atoms"] = static_cast<double>(r.database.size());
-  }
-  state.counters["lanes"] = lanes;
-}
-
-void ThreadSweepArgs(benchmark::internal::Benchmark* b) {
-  std::vector<int> sweep = {1, 2, 4};
-  int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw > 0 && std::find(sweep.begin(), sweep.end(), hw) == sweep.end()) {
-    sweep.push_back(hw);
-  }
-  for (int lanes : sweep) b->Args({256, lanes});
-}
-BENCHMARK(BM_ChaseParallelSweep)->Apply(ThreadSweepArgs)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ChaseTreeRunningExample(benchmark::State& state) {

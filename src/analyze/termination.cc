@@ -221,7 +221,6 @@ TerminationCertificate AnalyzeTermination(const Theory& theory,
   copts.max_steps = options.max_steps;
   copts.max_atoms = options.max_atoms;
   copts.semi_oblivious = true;
-  copts.num_threads = 1;  // Certificates must be byte-deterministic.
   copts.budget = options.budget;
   ChaseResult run =
       Chase(critical_theory, critical_instance, &scratch, copts);

@@ -1,9 +1,7 @@
 #include "chase/chase.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -11,16 +9,15 @@
 #include "core/check.h"
 #include "core/homomorphism.h"
 #include "core/join_plan.h"
-#include "core/parallel.h"
 #include "core/substitution.h"
 
 namespace gerel {
 
 namespace {
 
-// Delta atoms per enumeration unit. Fixed (not derived from the thread
-// count) so unit boundaries — and therefore any per-unit truncation —
-// are identical for every num_threads.
+// Delta atoms per enumeration unit. The per-unit step cap truncates at
+// unit boundaries, so this constant is part of what a capped run
+// derives.
 constexpr size_t kDeltaChunk = 1024;
 
 // A fired-trigger key: rule index plus the key variables' images, packed.
@@ -58,25 +55,19 @@ struct PreparedRule {
   std::vector<JoinPlan> plans;
 };
 
-// The piece-parallel chase engine. Each round is two phases:
+// The chase engine. Each round is two phases:
 //
 //  1. Enumeration — the round's triggers are enumerated against the
-//     *immutable* snapshot [0, delta_end) of the database. The work is
-//     split into units (rule, pinned body position, delta chunk); units
-//     run on the worker pool, each recording the universal-variable
-//     images of its matches into a private buffer. Nothing is inserted
-//     and no fresh nulls are minted, so workers share the database and
-//     symbol table read-only.
+//     database as it stood at the round's start, [0, delta_end). The
+//     work is split into units (rule, pinned body position, delta
+//     chunk); each unit records the universal-variable images of its
+//     matches into its own buffer. Nothing is inserted and no fresh
+//     nulls are minted.
 //
-//  2. Merge — single-threaded, in deterministic unit order (which is
-//     independent of the thread count): dedup against the fired-trigger
-//     set, the restricted/depth checks, fresh-null creation, and head
-//     insertion. Postings for the round's new atoms are then built (in
-//     parallel, shard-per-lane) before the next round reads them.
-//
-// Because the merge consumes an identical trigger stream for every
-// num_threads, the result — atom order, null names, derivation, step
-// count — is byte-identical to the sequential run.
+//  2. Merge — in unit order: dedup against the fired-trigger set, the
+//     restricted/depth checks, fresh-null creation, and head insertion.
+//     Postings for the round's new atoms are then built before the next
+//     round reads them.
 class ChaseEngine {
  public:
   ChaseEngine(const Theory& theory, const Database& input,
@@ -103,10 +94,6 @@ class ChaseEngine {
       }
       rules_.push_back(std::move(p));
     }
-    if (options_.num_threads > 1) {
-      pool_ = std::make_unique<WorkerPool>(options_.num_threads);
-    }
-    lanes_.resize(pool_ ? pool_->num_threads() : 1);
     result_.database = input;
     if (options.populate_acdom) {
       PopulateAcdom(theory, symbols, &result_.database);
@@ -120,8 +107,7 @@ class ChaseEngine {
     while (true) {
       ++round;
       // Round-boundary budget check: deterministic for a given fault
-      // plan / atom ceiling, so forced exhaustion truncates every
-      // thread-count's run at the same round.
+      // plan / atom ceiling.
       if (options_.budget != nullptr &&
           !options_.budget->CheckRound(GovernedStage::kChase, round,
                                        result_.database.size())) {
@@ -134,7 +120,7 @@ class ChaseEngine {
       bool limited = MergeRound(first_round);
       // Build postings for the atoms this round's merge appended; the
       // next round's enumeration (and any post-run AtomsOf) reads them.
-      result_.database.IndexNewAtoms(pool_.get());
+      result_.database.IndexNewAtoms();
       first_round = false;
       if (limited) {
         result_.saturated = false;
@@ -199,25 +185,20 @@ class ChaseEngine {
   void Enumerate() {
     // Per-unit emission cap: with a step bound, no unit can contribute
     // more firings than the bound allows, so runaway joins stop early.
-    // The cap is per *unit* (whose boundaries are thread-count
-    // independent), keeping truncation deterministic.
     size_t cap = options_.max_steps != 0
                      ? options_.max_steps + 1
                      : std::numeric_limits<size_t>::max();
     ExecutionBudget* budget = options_.budget;
-    const FaultPlan* fault = budget != nullptr ? budget->fault_plan() : nullptr;
-    auto run_unit = [&](size_t ui, size_t lane) {
-      // Workers observe the shared cancel/exhaustion flag between units,
-      // so a tripped budget stops all lanes promptly; the deterministic
-      // merge then replays only what was recorded.
-      if (budget != nullptr && budget->ExhaustedFast()) {
-        truncated_units_.store(true, std::memory_order_relaxed);
+    const Database& db = result_.database;
+    for (size_t ui = 0; ui < units_.size(); ++ui) {
+      // A tripped budget skips the remaining units; the merge then
+      // replays only what was recorded.
+      if (budget != nullptr && budget->exhausted()) {
+        truncated_units_ = true;
         return;
       }
-      MaybeInjectWorkerDelay(fault, ui);
       const Unit& u = units_[ui];
       const PreparedRule& rule = rules_[u.ri];
-      const Database& db = result_.database;
       std::vector<TriggerRec>& out = unit_triggers_[ui];
       bool stopped = false;
       auto fire = [&](const JoinExecutor& e) {
@@ -236,23 +217,17 @@ class ChaseEngine {
       for (size_t ai = u.begin; ai < u.end && out.size() < cap && !stopped;
            ++ai) {
         if (db.atom(ai).pred != pred) continue;
-        lanes_[lane].ExecuteSeeded(rule.plans[u.j], db, db.atom(ai), fire,
-                                   /*db_grows=*/false);
+        exec_.ExecuteSeeded(rule.plans[u.j], db, db.atom(ai), fire,
+                            /*db_grows=*/false);
       }
-      if (out.size() >= cap || stopped)
-        truncated_units_.store(true, std::memory_order_relaxed);
-    };
-    if (pool_) {
-      pool_->RunIndexed(units_.size(), run_unit);
-    } else {
-      for (size_t ui = 0; ui < units_.size(); ++ui) run_unit(ui, 0);
+      if (out.size() >= cap || stopped) truncated_units_ = true;
     }
   }
 
   // Replays the round's trigger stream in deterministic order. Returns
   // true iff a limit stopped the merge (or truncated enumeration made
-  // the stream incomplete). Pending batched head atoms are always
-  // flushed before returning, so callers observe the true database size.
+  // the stream incomplete). Buffered head atoms are always flushed
+  // before returning, so callers observe the true database size.
   bool MergeRound(bool first_round) {
     bool limited = ReplayRound(first_round);
     FlushPending();
@@ -279,7 +254,7 @@ class ChaseEngine {
     }
     // A truncated unit means some of the round's triggers were never
     // recorded; the result is a bounded prefix, not a fixpoint.
-    return LimitReached() || truncated_units_.load(std::memory_order_relaxed);
+    return LimitReached() || truncated_units_;
   }
 
   bool LimitReached() {
@@ -299,8 +274,8 @@ class ChaseEngine {
         return true;
       }
     }
-    // Amortized deadline/cancel check while the single-threaded merge
-    // replays a (possibly huge) trigger stream.
+    // Amortized deadline/cancel check while the merge replays a
+    // (possibly huge) trigger stream.
     if (options_.budget != nullptr &&
         !options_.budget->CheckPoint(GovernedStage::kChase))
       return true;
@@ -365,72 +340,55 @@ class ChaseEngine {
     for (const Atom& ha : rule.head) {
       Atom derived = full.Apply(ha);
       // The restricted chase reads the database (HasHomomorphism) while
-      // merging, so its postings must stay current; the oblivious merge
-      // defers them to the round boundary — and, with merge_batch_min
-      // set, buffers the whole round's candidates so dedup and appends
-      // can run as one (possibly parallel) batch at the flush.
+      // merging, so it inserts per trigger with current postings; the
+      // oblivious merge buffers the round's head atoms and inserts them
+      // at the flush.
       if (options_.restricted) {
         if (result_.database.Insert(derived)) {
           result_.derivation.push_back(
               ChaseStep{ri, std::move(derived), frontier_image});
         }
-      } else if (options_.merge_batch_min != 0) {
-        pending_atoms_.push_back(std::move(derived));
-        pending_meta_.push_back(PendingMeta{ri, frontier_image});
-      } else if (result_.database.InsertDeferIndex(derived)) {
-        result_.derivation.push_back(
-            ChaseStep{ri, std::move(derived), frontier_image});
+      } else {
+        pending_atoms_.push_back(
+            PendingAtom{std::move(derived), ri, frontier_image});
       }
     }
     return true;
   }
 
-  // Drains the buffered head-atom candidates through the batch insert
-  // (parallel once the buffer reaches merge_batch_min) and appends the
-  // derivation records of the atoms that were new, in candidate order —
-  // exactly the records the per-trigger path would have produced.
+  // Inserts the buffered head atoms in candidate order and records a
+  // derivation step for each one that was new.
   void FlushPending() {
-    if (pending_atoms_.empty()) return;
-    WorkerPool* pool =
-        pending_atoms_.size() >= options_.merge_batch_min ? pool_.get()
-                                                          : nullptr;
-    result_.database.InsertBatchDeferIndex(pending_atoms_, pool,
-                                           &pending_new_);
-    for (size_t i = 0; i < pending_atoms_.size(); ++i) {
-      if (pending_new_[i]) {
-        result_.derivation.push_back(ChaseStep{pending_meta_[i].ri,
-                                               std::move(pending_atoms_[i]),
-                                               std::move(pending_meta_[i].frontier)});
+    for (PendingAtom& p : pending_atoms_) {
+      if (result_.database.InsertDeferIndex(p.atom)) {
+        result_.derivation.push_back(
+            ChaseStep{p.ri, std::move(p.atom), std::move(p.frontier)});
       }
     }
     pending_atoms_.clear();
-    pending_meta_.clear();
   }
 
   SymbolTable* symbols_;
   ChaseOptions options_;
   std::vector<PreparedRule> rules_;
-  std::unique_ptr<WorkerPool> pool_;  // Null when num_threads <= 1.
-  std::vector<JoinExecutor> lanes_;   // One executor per pool lane.
+  JoinExecutor exec_;
   std::vector<Unit> units_;
   std::vector<std::vector<TriggerRec>> unit_triggers_;
   ChaseResult result_;
-  // Round-local head-atom candidates awaiting the batched flush
-  // (oblivious merge with merge_batch_min != 0 only).
-  struct PendingMeta {
+  // The oblivious merge's head-atom candidates, awaiting the flush.
+  struct PendingAtom {
+    Atom atom;
     uint32_t ri = 0;
     std::vector<Term> frontier;
   };
-  std::vector<Atom> pending_atoms_;
-  std::vector<PendingMeta> pending_meta_;
-  std::vector<uint8_t> pending_new_;
+  std::vector<PendingAtom> pending_atoms_;
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
   std::unordered_map<uint32_t, uint32_t> null_depth_;
   bool skipped_depth_limited_ = false;
   // Which engine-local cap (steps/atoms) tripped, for the degradation
   // record; kNone when only the budget or a truncated unit stopped us.
   BudgetLimit cap_limit_ = BudgetLimit::kNone;
-  std::atomic<bool> truncated_units_{false};
+  bool truncated_units_ = false;
 };
 
 }  // namespace

@@ -5,6 +5,11 @@
 // exactly once, in fair (round-based, semi-naive) order, replacing
 // existential variables by fresh labeled nulls.
 //
+// The chase runs on the calling thread. Each round enumerates its
+// triggers against the database as it stood at the round's start, then
+// fires them in a fixed order, so atom order, null names and step counts
+// depend on the input alone.
+//
 // The chase of an existential-rule theory may be infinite; ChaseOptions
 // bounds the run and ChaseResult::saturated reports whether a fixpoint was
 // actually reached. The decision procedures of the library are the
@@ -52,27 +57,11 @@ struct ChaseOptions {
   // terminating semi-oblivious chases, while only weakly acyclic ones
   // are guaranteed for the fully oblivious chase.
   bool semi_oblivious = false;
-  // Lanes for the piece-parallel trigger enumeration (including the
-  // calling thread); 1 is fully sequential. Any value produces
-  // byte-identical results — trigger batches are enumerated against the
-  // immutable round snapshot and merged in a deterministic order, so
-  // labeled-null naming and the derivation never depend on thread count.
-  size_t num_threads = 1;
   // Optional execution budget (wall-clock deadline, atom ceiling,
   // cooperative cancellation, fault injection). Checked at round
   // boundaries and, amortized, inside trigger enumeration; not owned.
   // Exhaustion stops the run cleanly with ChaseResult::degradation set.
   ExecutionBudget* budget = nullptr;
-  // Oblivious merge phase only: head atoms are buffered and inserted
-  // through Database::InsertBatchDeferIndex at the round boundary; once
-  // a round's buffer holds at least this many candidates the dedup and
-  // segment appends run on the worker pool. The threshold depends only
-  // on the candidate count (never the thread count) and the batch insert
-  // is order-deterministic, so results stay byte-identical for any
-  // num_threads. 0 reverts to per-trigger inserts; the restricted chase
-  // always inserts per trigger (its satisfaction check reads the
-  // database mid-merge).
-  size_t merge_batch_min = 2048;
 };
 
 // Provenance of one derived atom: which rule fired and the image of its
@@ -99,8 +88,9 @@ struct ChaseResult {
   DegradationReason degradation;
 };
 
-// Runs the oblivious chase of `input` w.r.t. `theory` (which must be
-// negation-free). `symbols` supplies fresh nulls.
+// Runs the oblivious chase of `input` w.r.t. `theory`. The theory must be
+// negation-free (CHECK-fails otherwise; callers reject negation first, see
+// Theory::HasNegation). `symbols` supplies fresh nulls.
 ChaseResult Chase(const Theory& theory, const Database& input,
                   SymbolTable* symbols,
                   const ChaseOptions& options = ChaseOptions());

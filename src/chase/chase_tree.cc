@@ -134,6 +134,9 @@ Result<ChaseTree> BuildChaseTree(const Theory& theory, const Database& input,
   if (!IsNormal(theory)) {
     return Status::Error("chase tree requires a normal theory (Def 6)");
   }
+  if (theory.HasNegation()) {
+    return Status::Error("chase tree requires a negation-free theory");
+  }
   if (!Classify(theory).frontier_guarded) {
     return Status::Error("chase tree requires a frontier-guarded theory");
   }

@@ -1,31 +1,25 @@
 #include "core/database.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/check.h"
-#include "core/parallel.h"
 #include "core/theory.h"
 
 namespace gerel {
 
 namespace {
 const std::vector<uint32_t> kEmptyPostings;
-// Below this many pending atoms the parallel index build is not worth
-// the task dispatch.
-constexpr size_t kParallelIndexThreshold = 256;
 }  // namespace
 
 void Database::CopyFrom(const Database& other) {
-  size_t n = other.size();
   segments_.clear();
   segments_.reserve(other.segments_.size());
   for (const auto& seg : other.segments_) {
-    segments_.push_back(seg ? std::make_unique<Segment>(*seg) : nullptr);
+    segments_.push_back(std::make_unique<Segment>(*seg));
   }
-  size_.store(n, std::memory_order_relaxed);
-  for (size_t s = 0; s < kSetShards; ++s) {
-    set_shards_[s].set = other.set_shards_[s].set;
-  }
+  size_ = other.size_;
+  set_ = other.set_;
   by_relation_ = other.by_relation_;
   by_position_ = other.by_position_;
   indexed_upto_ = other.indexed_upto_;
@@ -34,18 +28,16 @@ void Database::CopyFrom(const Database& other) {
 
 void Database::MoveFrom(Database* other) {
   segments_ = std::move(other->segments_);
-  size_.store(other->size_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-  for (size_t s = 0; s < kSetShards; ++s) {
-    set_shards_[s].set = std::move(other->set_shards_[s].set);
-  }
+  size_ = std::exchange(other->size_, 0);
+  set_ = std::move(other->set_);
   by_relation_ = std::move(other->by_relation_);
   by_position_ = std::move(other->by_position_);
-  indexed_upto_ = other->indexed_upto_;
+  indexed_upto_ = std::exchange(other->indexed_upto_, 0);
   position_index_enabled_ = other->position_index_enabled_;
   other->segments_.clear();
-  other->size_.store(0, std::memory_order_relaxed);
-  other->indexed_upto_ = 0;
+  other->set_.clear();
+  other->by_relation_.clear();
+  other->by_position_.clear();
 }
 
 Database& Database::operator=(const Database& other) {
@@ -58,202 +50,41 @@ Database& Database::operator=(Database&& other) noexcept {
   return *this;
 }
 
-uint32_t Database::Append(const Atom& atom, bool allow_grow) {
-  size_t index = size_.load(std::memory_order_relaxed);
-  size_t seg = index >> kSegmentBits;
-  if (seg >= segments_.size()) {
-    // Growing the directory moves its slots; forbidden while concurrent
-    // readers may be traversing it (ReserveConcurrent pre-sizes it).
-    GEREL_CHECK(allow_grow);
-    segments_.push_back(std::make_unique<Segment>());
-  } else if (!segments_[seg]) {
-    segments_[seg] = std::make_unique<Segment>();
-  }
-  (*segments_[seg])[index & kSegmentMask] = atom;
-  size_.store(index + 1, std::memory_order_release);
-  return static_cast<uint32_t>(index);
-}
-
-void Database::IndexAtom(const Atom& atom, uint32_t index) {
-  by_relation_[RelationShardOf(atom.pred)][atom.pred].push_back(index);
-  if (position_index_enabled_) {
-    uint32_t pos = 0;
-    for (Term t : atom.args) {
-      PositionKey key(atom.pred, pos++, t);
-      by_position_[PositionShardOf(key)][key].push_back(index);
-    }
-    for (Term t : atom.annotation) {
-      PositionKey key(atom.pred, pos++, t);
-      by_position_[PositionShardOf(key)][key].push_back(index);
-    }
-  }
-}
-
-void Database::IndexShardRange(size_t shard, size_t begin, size_t end) {
-  for (size_t i = begin; i < end; ++i) {
-    const Atom& a = atom(i);
-    uint32_t index = static_cast<uint32_t>(i);
-    if (RelationShardOf(a.pred) == shard) {
-      by_relation_[shard][a.pred].push_back(index);
-    }
-    if (position_index_enabled_) {
-      uint32_t pos = 0;
-      for (Term t : a.args) {
-        PositionKey key(a.pred, pos++, t);
-        if (PositionShardOf(key) == shard) {
-          by_position_[shard][key].push_back(index);
-        }
-      }
-      for (Term t : a.annotation) {
-        PositionKey key(a.pred, pos++, t);
-        if (PositionShardOf(key) == shard) {
-          by_position_[shard][key].push_back(index);
-        }
-      }
-    }
-  }
-}
-
 bool Database::Insert(const Atom& atom) {
   if (!InsertDeferIndex(atom)) return false;
-  IndexNewAtoms(nullptr);
+  IndexNewAtoms();
   return true;
 }
 
 bool Database::InsertDeferIndex(const Atom& atom) {
   GEREL_CHECK(atom.IsDatabaseAtom());
-  if (!set_shards_[SetShardOf(atom)].set.insert(atom).second) return false;
-  Append(atom, /*allow_grow=*/true);
+  if (!set_.insert(atom).second) return false;
+  if ((size_ >> kSegmentBits) == segments_.size()) {
+    segments_.push_back(std::make_unique<Segment>());
+  }
+  (*segments_[size_ >> kSegmentBits])[size_ & kSegmentMask] = atom;
+  ++size_;
   return true;
 }
 
-size_t Database::InsertBatchDeferIndex(const std::vector<Atom>& batch,
-                                       WorkerPool* pool,
-                                       std::vector<uint8_t>* is_new) {
-  size_t n = batch.size();
-  is_new->assign(n, 0);
-  if (n == 0) return 0;
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    size_t added = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (InsertDeferIndex(batch[i])) {
-        (*is_new)[i] = 1;
-        ++added;
-      }
+void Database::IndexNewAtoms() {
+  for (; indexed_upto_ < size_; ++indexed_upto_) {
+    const Atom& a = atom(indexed_upto_);
+    uint32_t index = static_cast<uint32_t>(indexed_upto_);
+    by_relation_[a.pred].push_back(index);
+    if (!position_index_enabled_) continue;
+    uint32_t pos = 0;
+    for (Term t : a.args) {
+      by_position_[PositionKey(a.pred, pos++, t)].push_back(index);
     }
-    return added;
-  }
-  // Phase 1 — hash every atom in parallel; the shard id is the only
-  // per-atom state the dedup phase needs.
-  std::vector<uint8_t> shard_of(n);
-  constexpr size_t kHashChunk = 1024;
-  size_t chunks = (n + kHashChunk - 1) / kHashChunk;
-  pool->Run(chunks, [&](size_t c) {
-    size_t end = std::min((c + 1) * kHashChunk, n);
-    for (size_t i = c * kHashChunk; i < end; ++i) {
-      GEREL_CHECK(batch[i].IsDatabaseAtom());
-      shard_of[i] = static_cast<uint8_t>(SetShardOf(batch[i]));
-    }
-  });
-  // Phase 2 — partition candidate indices by shard, in batch order, so
-  // each shard sees its candidates in the same order the sequential
-  // loop would (first occurrence of an in-batch duplicate wins).
-  std::array<std::vector<uint32_t>, kSetShards> members;
-  for (size_t i = 0; i < n; ++i) {
-    members[shard_of[i]].push_back(static_cast<uint32_t>(i));
-  }
-  // Phase 3 — per-shard dedup in parallel. Each shard's set is touched
-  // by exactly one lane (no locks), and duplicate atoms always hash to
-  // the same shard, so the newness marks match the sequential loop.
-  pool->Run(kSetShards, [&](size_t s) {
-    for (uint32_t i : members[s]) {
-      if (set_shards_[s].set.insert(batch[i]).second) (*is_new)[i] = 1;
-    }
-  });
-  // Phase 4 — assign final indices in batch order and pre-size storage
-  // so the scatter below never grows the directory concurrently.
-  size_t base = size();
-  std::vector<uint32_t> new_list;
-  for (size_t i = 0; i < n; ++i) {
-    if ((*is_new)[i]) new_list.push_back(static_cast<uint32_t>(i));
-  }
-  if (new_list.empty()) return 0;
-  size_t end = base + new_list.size();
-  ReserveConcurrent(end);
-  for (size_t seg = base >> kSegmentBits; seg < (end + kSegmentMask) >>
-                                                    kSegmentBits;
-       ++seg) {
-    if (!segments_[seg]) segments_[seg] = std::make_unique<Segment>();
-  }
-  // Phase 5 — scatter the new atoms into their slots in parallel
-  // (distinct slots per task; the single size_ publish below is the
-  // only cross-thread handoff) and publish the new size once.
-  size_t scatter_chunks = (new_list.size() + kHashChunk - 1) / kHashChunk;
-  pool->Run(scatter_chunks, [&](size_t c) {
-    size_t stop = std::min((c + 1) * kHashChunk, new_list.size());
-    for (size_t r = c * kHashChunk; r < stop; ++r) {
-      size_t index = base + r;
-      (*segments_[index >> kSegmentBits])[index & kSegmentMask] =
-          batch[new_list[r]];
-    }
-  });
-  size_.store(end, std::memory_order_release);
-  return new_list.size();
-}
-
-void Database::IndexNewAtoms(WorkerPool* pool) {
-  size_t end = size();
-  if (indexed_upto_ >= end) return;
-  size_t begin = indexed_upto_;
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      end - begin >= kParallelIndexThreshold) {
-    // Shard ownership makes the parallel build deterministic: each shard
-    // is written by exactly one lane, scanning atoms in index order, so
-    // every postings list ends up byte-identical to a sequential build.
-    pool->Run(kIndexShards,
-              [&](size_t shard) { IndexShardRange(shard, begin, end); });
-  } else {
-    for (size_t i = begin; i < end; ++i) {
-      IndexAtom(atom(i), static_cast<uint32_t>(i));
+    for (Term t : a.annotation) {
+      by_position_[PositionKey(a.pred, pos++, t)].push_back(index);
     }
   }
-  indexed_upto_ = end;
 }
 
 bool Database::Contains(const Atom& atom) const {
-  return set_shards_[SetShardOf(atom)].set.count(atom) > 0;
-}
-
-void Database::ReserveConcurrent(size_t max_atoms) {
-  size_t slots = (max_atoms + kSegmentSize - 1) >> kSegmentBits;
-  if (slots > segments_.size()) segments_.resize(slots);
-}
-
-bool Database::InsertConcurrent(const Atom& atom) {
-  GEREL_CHECK(atom.IsDatabaseAtom());
-  SetShard& shard = set_shards_[SetShardOf(atom)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!shard.set.insert(atom).second) return false;
-  }
-  std::lock_guard<std::mutex> lock(append_mu_);
-  uint32_t index = Append(atom, /*allow_grow=*/false);
-  IndexAtom(atom, index);
-  indexed_upto_ = index + 1;
-  return true;
-}
-
-bool Database::ContainsConcurrent(const Atom& atom) const {
-  const SetShard& shard = set_shards_[SetShardOf(atom)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.set.count(atom) > 0;
-}
-
-std::vector<uint32_t> Database::CopyAtomsOf(RelationId pred) const {
-  std::lock_guard<std::mutex> lock(append_mu_);
-  auto& shard = by_relation_[RelationShardOf(pred)];
-  auto it = shard.find(pred);
-  return it == shard.end() ? std::vector<uint32_t>() : it->second;
+  return set_.count(atom) > 0;
 }
 
 std::vector<Atom> Database::AtomsVector() const {
@@ -266,19 +97,16 @@ std::vector<Atom> Database::AtomsVector() const {
 
 const std::vector<uint32_t>& Database::AtomsOf(RelationId pred) const {
   GEREL_CHECK(indexed_upto_ == size());  // IndexNewAtoms owed first.
-  const auto& shard = by_relation_[RelationShardOf(pred)];
-  auto it = shard.find(pred);
-  return it == shard.end() ? kEmptyPostings : it->second;
+  auto it = by_relation_.find(pred);
+  return it == by_relation_.end() ? kEmptyPostings : it->second;
 }
 
 const std::vector<uint32_t>& Database::AtomsAt(RelationId pred, uint32_t pos,
                                                Term term) const {
   GEREL_CHECK(position_index_enabled_);
   GEREL_CHECK(indexed_upto_ == size());  // IndexNewAtoms owed first.
-  PositionKey key(pred, pos, term);
-  const auto& shard = by_position_[PositionShardOf(key)];
-  auto it = shard.find(key);
-  return it == shard.end() ? kEmptyPostings : it->second;
+  auto it = by_position_.find(PositionKey(pred, pos, term));
+  return it == by_position_.end() ? kEmptyPostings : it->second;
 }
 
 void Database::set_position_index_enabled(bool enabled) {

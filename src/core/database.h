@@ -2,29 +2,22 @@
 // with per-relation and per-(relation, position, term) indexes used by the
 // homomorphism matcher, the chase, and the Datalog engine.
 //
-// Storage layout (concurrent fact store): atoms live in fixed-size
-// segments behind a slot directory, so a published atom never moves and
-// readers need no lock. The dedup set and both postings indexes are
-// sharded; shards let (a) the deterministic parallel index build of the
-// piece-parallel chase assign each shard to one worker, and (b) the
-// finely-locked concurrent append path stripe its dedup locking.
+// Storage layout: atoms live in fixed-size segments behind a slot
+// directory, so a stored atom never moves. JoinExecutor::ExecuteSeeded
+// holds a reference to db.atom(i) as its seed while a db_grows visitor
+// inserts into the same database.
 //
-// Threading contract — a Database is in exactly one mode at a time:
-//  * Owner mode (default): all mutation through one thread via Insert /
-//    InsertDeferIndex; no locks are taken. Concurrent *readers* are safe
-//    while the owner is idle (the chase's enumeration phase).
-//  * Concurrent mode: after ReserveConcurrent, any number of threads may
-//    call InsertConcurrent / ContainsConcurrent / CopyAtomsOf while
-//    others read SnapshotSize() and atom(i) for i < SnapshotSize().
+// Threading contract: a Database has a single owner. All mutation goes
+// through one thread; concurrent readers are safe only while no thread
+// mutates (the parallel Datalog and saturation rounds read a round's
+// immutable database, and their merges insert afterwards).
 #ifndef GEREL_CORE_DATABASE_H_
 #define GEREL_CORE_DATABASE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -36,7 +29,6 @@
 namespace gerel {
 
 class Theory;
-class WorkerPool;
 
 // An append-only set of database atoms (ground over constants/nulls).
 // Atom identities are dense indices [0, size()); insertion order is
@@ -50,51 +42,18 @@ class Database {
   Database& operator=(Database&& other) noexcept;
 
   // Inserts `atom`; returns true if it was new. CHECK-fails on atoms
-  // containing variables. Owner mode only.
+  // containing variables.
   bool Insert(const Atom& atom);
   // Like Insert, but postings-index maintenance is deferred; call
   // IndexNewAtoms before the next AtomsOf/AtomsAt. Lets the chase merge
-  // append a whole round cheaply and build the postings in parallel.
+  // append a whole round and index it once at the round boundary.
   bool InsertDeferIndex(const Atom& atom);
-  // Builds postings for all atoms inserted since the last build. With a
-  // pool of >1 lanes the shards are built in parallel; the result is
-  // identical to the sequential build (each shard's postings are
-  // appended in atom-index order by a single lane).
-  void IndexNewAtoms(WorkerPool* pool = nullptr);
-  // Batched InsertDeferIndex: inserts `batch` in order, writing 1 into
-  // (*is_new)[i] iff batch[i] was new (first occurrence wins for
-  // in-batch duplicates, exactly as a sequential InsertDeferIndex loop).
-  // Returns the number of new atoms. With a pool of >1 lanes the dedup
-  // hashing, per-shard set inserts, and segment appends run in parallel
-  // (shard-per-lane over the concurrent-mode set shards, scatter into a
-  // ReserveConcurrent-pre-sized directory); the resulting atom order,
-  // dedup outcome, and postings are byte-identical to the sequential
-  // loop for any lane count. Owner mode only; postings stay deferred
-  // until IndexNewAtoms.
-  size_t InsertBatchDeferIndex(const std::vector<Atom>& batch,
-                               WorkerPool* pool,
-                               std::vector<uint8_t>* is_new);
+  // Builds postings for all atoms inserted since the last build.
+  void IndexNewAtoms();
 
   bool Contains(const Atom& atom) const;
 
-  // ---- Concurrent mode ----
-  // Pre-sizes the segment directory for up to `max_atoms` atoms so the
-  // directory never reallocates under concurrent appenders. Owner mode
-  // call; must precede the first InsertConcurrent.
-  void ReserveConcurrent(size_t max_atoms);
-  // Thread-safe insert (striped dedup lock + append lock). Returns true
-  // if the atom was new. CHECK-fails if ReserveConcurrent capacity is
-  // exceeded. Postings are maintained under the append lock; concurrent
-  // readers must use CopyAtomsOf, not AtomsOf.
-  bool InsertConcurrent(const Atom& atom);
-  bool ContainsConcurrent(const Atom& atom) const;
-  // Number of atoms published to concurrent readers: every i <
-  // SnapshotSize() is safe to pass to atom(i) from any thread.
-  size_t SnapshotSize() const { return size_.load(std::memory_order_acquire); }
-  // Locked copy of AtomsOf for readers racing InsertConcurrent.
-  std::vector<uint32_t> CopyAtomsOf(RelationId pred) const;
-
-  size_t size() const { return size_.load(std::memory_order_relaxed); }
+  size_t size() const { return size_; }
   bool empty() const { return size() == 0; }
   const Atom& atom(size_t i) const {
     return (*segments_[i >> kSegmentBits])[i & kSegmentMask];
@@ -179,8 +138,6 @@ class Database {
   static constexpr size_t kSegmentBits = 9;  // 512 atoms per segment.
   static constexpr size_t kSegmentSize = size_t{1} << kSegmentBits;
   static constexpr size_t kSegmentMask = kSegmentSize - 1;
-  static constexpr size_t kSetShards = 16;
-  static constexpr size_t kIndexShards = 8;
 
   using Segment = std::array<Atom, kSegmentSize>;
 
@@ -211,50 +168,19 @@ class Database {
     }
   };
 
-  struct SetShard {
-    std::unordered_set<Atom, AtomHash> set;
-    mutable std::mutex mu;  // Locked by the Concurrent entry points only.
-  };
-
-  static size_t SetShardOf(const Atom& atom) {
-    return AtomHash()(atom) % kSetShards;
-  }
-  static size_t RelationShardOf(RelationId pred) {
-    return static_cast<size_t>(pred) % kIndexShards;
-  }
-  size_t PositionShardOf(const PositionKey& key) const {
-    return PositionKeyHash()(key) % kIndexShards;
-  }
-
   void CopyFrom(const Database& other);
   void MoveFrom(Database* other);
-  // Appends the atom to segment storage (allocating the next segment if
-  // needed) and publishes the new size. Returns the atom's index. With
-  // allow_grow false the segment directory must already have a slot
-  // (ReserveConcurrent), so concurrent readers never race a directory
-  // reallocation.
-  uint32_t Append(const Atom& atom, bool allow_grow);
-  // Appends the postings of one atom to its shards.
-  void IndexAtom(const Atom& atom, uint32_t index);
-  // Builds the postings of shard `shard` for atom indices [begin, end).
-  void IndexShardRange(size_t shard, size_t begin, size_t end);
 
   std::vector<std::unique_ptr<Segment>> segments_;
-  std::atomic<size_t> size_{0};
-  std::array<SetShard, kSetShards> set_shards_;
-  std::array<std::unordered_map<RelationId, std::vector<uint32_t>>,
-             kIndexShards>
-      by_relation_;
-  std::array<
-      std::unordered_map<PositionKey, std::vector<uint32_t>, PositionKeyHash>,
-      kIndexShards>
+  size_t size_ = 0;
+  std::unordered_set<Atom, AtomHash> set_;
+  std::unordered_map<RelationId, std::vector<uint32_t>> by_relation_;
+  std::unordered_map<PositionKey, std::vector<uint32_t>, PositionKeyHash>
       by_position_;
   // Atoms [0, indexed_upto_) have postings; InsertDeferIndex leaves the
   // tail unindexed until IndexNewAtoms.
   size_t indexed_upto_ = 0;
   bool position_index_enabled_ = true;
-  // Serializes concurrent appends (segment allocation, postings).
-  mutable std::mutex append_mu_;
 };
 
 // The name of the built-in active-constant-domain relation (paper §2,

@@ -1,9 +1,9 @@
 // A small persistent worker pool for intra-round parallelism.
 //
-// Round-based fixpoint engines (semi-naive Datalog, the piece-parallel
-// chase, parallel saturation) share a natural barrier per round: every
-// task matches against the same immutable snapshot, and derived results
-// only become visible at the round boundary. The pool runs one task per
+// Round-based fixpoint engines (semi-naive Datalog, parallel saturation)
+// share a natural barrier per round: every task matches against the same
+// immutable snapshot, and derived results only become visible at the
+// round boundary. The pool runs one task per
 // unit of work; the caller's thread participates, so a pool built for
 // `num_threads` spawns num_threads - 1 workers.
 #ifndef GEREL_CORE_PARALLEL_H_

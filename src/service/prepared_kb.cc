@@ -281,10 +281,6 @@ Status PreparedKb::MaterializeModel() {
     copts.max_atoms = options_.chase_max_atoms;
     copts.semi_oblivious = true;
     copts.populate_acdom = options_.datalog.populate_acdom;
-    copts.num_threads =
-        options_.datalog.num_threads < 1
-            ? 1
-            : static_cast<size_t>(options_.datalog.num_threads);
     copts.budget = budget_.get();
     ChaseResult run = Chase(normal_, edb_, symbols_, copts);
     model_ = std::move(run.database);

@@ -80,8 +80,9 @@ struct PreparedKbOptions {
   // Caps for the rewrite/grounding/saturation stages (shared with the
   // one-shot pipeline).
   KbQueryOptions pipeline;
-  // Evaluation options; num_threads > 1 parallelizes the materialization
-  // and delta rounds over the prepared worker pool.
+  // Evaluation options; num_threads > 1 parallelizes the Datalog
+  // materialization and delta rounds. Chase mode (Mode::kChaseMaterialized)
+  // runs its Skolem chase on one thread whatever num_threads says.
   DatalogOptions datalog;
   // Maximum number of cached query answer sets; 0 disables the cache.
   size_t answer_cache_capacity = 1024;

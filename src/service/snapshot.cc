@@ -237,6 +237,44 @@ Status CorruptError(const std::string& path, const char* what) {
   return Status::Error("snapshot " + path + ": " + what);
 }
 
+// Whether `a` fits the loaded symbol table: its relation exists with a
+// matching arity (when one is recorded) and each term names an entry of
+// its kind's table, nulls lying below the restored null counter. A
+// database atom (EDB or model) must also be free of variables. A valid
+// checksum only proves the image was written as read, not that its
+// writer was sound, so every id is checked before any engine sees it.
+bool FitsSymbols(const Atom& a, const SymbolTable& symbols,
+                 bool database_atom) {
+  if (a.pred >= symbols.NumRelations()) return false;
+  int arity = symbols.RelationArity(a.pred);
+  if (arity >= 0 && static_cast<size_t>(arity) != a.arity()) return false;
+  auto fits = [&](Term t) {
+    switch (t.kind()) {
+      case TermKind::kConstant:
+        return t.id() < symbols.NumConstants();
+      case TermKind::kVariable:
+        return !database_atom && t.id() < symbols.NumVariables();
+      case TermKind::kNull:
+        return t.id() < symbols.NumNulls();
+    }
+    return false;
+  };
+  return std::all_of(a.args.begin(), a.args.end(), fits) &&
+         std::all_of(a.annotation.begin(), a.annotation.end(), fits);
+}
+
+bool FitsSymbols(const Theory& theory, const SymbolTable& symbols) {
+  for (const Rule& r : theory.rules()) {
+    for (const Literal& l : r.body) {
+      if (!FitsSymbols(l.atom, symbols, /*database_atom=*/false)) return false;
+    }
+    for (const Atom& a : r.head) {
+      if (!FitsSymbols(a, symbols, /*database_atom=*/false)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Status PreparedKb::SaveSnapshot(const std::string& path) const {
@@ -388,33 +426,55 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
       symbols->NumVariables() != 0) {
     return Status::Error("snapshot: symbol table must be empty before load");
   }
+  // A repeated name would re-intern to an earlier id (and shift every
+  // later one), so each name must land on the next dense id.
   uint32_t num_relations = r.U32();
   for (uint32_t i = 0; i < num_relations && r.ok(); ++i) {
     std::string name = r.Str();
     int arity = static_cast<int>(r.U32());
     if (!r.ok()) break;
+    if (symbols->HasRelation(name) || arity < -1) {
+      return CorruptError(path, "corrupt payload");
+    }
     symbols->Relation(name, arity);
   }
   uint32_t num_constants = r.U32();
   for (uint32_t i = 0; i < num_constants && r.ok(); ++i) {
-    symbols->Constant(r.Str());
+    if (symbols->Constant(r.Str()).id() != i) {
+      return CorruptError(path, "corrupt payload");
+    }
   }
   uint32_t num_variables = r.U32();
   for (uint32_t i = 0; i < num_variables && r.ok(); ++i) {
-    symbols->Variable(r.Str());
+    if (symbols->Variable(r.Str()).id() != i) {
+      return CorruptError(path, "corrupt payload");
+    }
   }
   symbols->RestoreNullCounter(r.U32());
 
   Theory normal = r.TheoryRec();
   Theory weakly_guarded = r.TheoryRec();
   Theory program_rules = r.TheoryRec();
-  uint64_t edb_atoms = r.U64();
+  if (!r.ok() || !FitsSymbols(normal, *symbols) ||
+      !FitsSymbols(weakly_guarded, *symbols) ||
+      !FitsSymbols(program_rules, *symbols)) {
+    return CorruptError(path, "corrupt payload");
+  }
+  auto read_database = [&](Database* db) {
+    uint64_t atoms = r.U64();
+    for (uint64_t i = 0; i < atoms && r.ok(); ++i) {
+      Atom a = r.AtomRec();
+      if (!r.ok() || !FitsSymbols(a, *symbols, /*database_atom=*/true)) {
+        return false;
+      }
+      db->Insert(a);
+    }
+    return r.ok();
+  };
   Database edb;
-  for (uint64_t i = 0; i < edb_atoms && r.ok(); ++i) edb.Insert(r.AtomRec());
-  uint64_t model_atoms = r.U64();
   Database model;
-  for (uint64_t i = 0; i < model_atoms && r.ok(); ++i) {
-    model.Insert(r.AtomRec());
+  if (!read_database(&edb) || !read_database(&model)) {
+    return CorruptError(path, "corrupt payload");
   }
   uint32_t num_grounded = r.U32();
   std::unordered_set<uint32_t> grounded;

@@ -85,8 +85,8 @@ struct ServiceStats {
   // Prepare-phase breakdown (cumulative across recompiles): classify =
   // normalize + classification + pre-flight analysis; transform = the §5–§7
   // pipeline (expansion, grounding, saturation, Datalog compilation);
-  // materialize = model materialization. Makes chase/saturation speedups
-  // (e.g. from num_threads) observable from `gerel serve stats`.
+  // materialize = model materialization. Makes saturation and Datalog
+  // speedups (e.g. from num_threads) observable from `gerel serve stats`.
   double prepare_classify_wall_ms = 0.0;
   double prepare_transform_wall_ms = 0.0;
   double prepare_materialize_wall_ms = 0.0;

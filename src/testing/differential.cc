@@ -225,35 +225,6 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
                 DescribeFactDiff(facts_expect, facts_chase));
   }
 
-  // Lane: piece-parallel chase determinism. The chase at 2 and 4 worker
-  // lanes must be byte-identical to the sequential run — same atoms in
-  // the same order, same labeled-null names, same step count. Each run
-  // gets its own copy of the symbol table so fresh-null interning cannot
-  // leak between runs and mask (or fake) a divergence.
-  {
-    SymbolTable seq_syms = *symbols;
-    ChaseOptions seq_opts = chase_opts;
-    seq_opts.num_threads = 1;
-    ChaseResult seq = Chase(c.theory, c.database, &seq_syms, seq_opts);
-    std::string seq_text = ToString(seq.database, seq_syms);
-    for (size_t threads : {size_t{2}, size_t{4}}) {
-      SymbolTable par_syms = *symbols;
-      ChaseOptions par_opts = chase_opts;
-      par_opts.num_threads = threads;
-      ChaseResult par = Chase(c.theory, c.database, &par_syms, par_opts);
-      if (par.saturated != seq.saturated || par.steps != seq.steps ||
-          ToString(par.database, par_syms) != seq_text) {
-        return fail("chase-parallel-determinism",
-                    "chase with num_threads=" + std::to_string(threads) +
-                        " diverged from the sequential run (" +
-                        std::to_string(par.database.size()) + " vs " +
-                        std::to_string(seq.database.size()) + " atoms, " +
-                        std::to_string(par.steps) + " vs " +
-                        std::to_string(seq.steps) + " steps)");
-      }
-    }
-  }
-
   // Lane: oracle vs. chase CQ answers.
   bool sat = false;
   AnswerSet chase_ans =
@@ -548,85 +519,77 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
   chase_opts.max_steps = options.oracle.max_steps * 20;
   chase_opts.max_atoms = options.oracle.max_atoms * 20;
 
-  // Clean sequential chase: the reference for every faulted run.
+  // Clean chase: the reference for every faulted run.
   SymbolTable clean_syms = *symbols;
   ChaseResult clean = Chase(c.theory, c.database, &clean_syms, chase_opts);
-  std::string clean_text = ToString(clean.database, clean_syms);
   std::set<std::string> clean_facts =
       GroundFactSet(clean.database, c.theory, clean_syms);
 
   // Lane: forced budget exhaustion at a seeded round. The trip happens
-  // in CheckRound on the coordinating thread at a round boundary, so the
-  // truncated chase must be byte-identical for any worker-lane count and
-  // a prefix of the clean run (facts ⊆ clean facts).
+  // in CheckRound at a round boundary, so the truncated chase must be a
+  // prefix of the clean run (facts ⊆ clean facts) that says why it
+  // stopped.
   {
     FaultPlan plan;
     plan.exhaust_stage = GovernedStage::kChase;
     plan.exhaust_round = 1 + c.seed % 3;
-    std::string first_text;
-    size_t first_steps = 0;
-    bool first_saturated = false;
-    bool have_first = false;
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      SymbolTable fsyms = *symbols;
-      ExecutionBudget budget(BudgetLimits{}, &plan);
-      ChaseOptions fopts = chase_opts;
-      fopts.num_threads = threads;
-      fopts.budget = &budget;
-      ChaseResult faulted = Chase(c.theory, c.database, &fsyms, fopts);
-      if (!faulted.saturated) {
-        if (!faulted.degradation.degraded()) {
-          return fail("fault-chase-reason",
-                      "budget-exhausted chase reported no DegradationReason");
-        }
-        if (faulted.degradation.limit != BudgetLimit::kFault) {
-          return fail("fault-chase-reason",
-                      "expected a kFault degradation, got " +
-                          faulted.degradation.ToString());
-        }
+    SymbolTable fsyms = *symbols;
+    ExecutionBudget budget(BudgetLimits{}, &plan);
+    ChaseOptions fopts = chase_opts;
+    fopts.budget = &budget;
+    ChaseResult faulted = Chase(c.theory, c.database, &fsyms, fopts);
+    if (!faulted.saturated) {
+      if (!faulted.degradation.degraded()) {
+        return fail("fault-chase-reason",
+                    "budget-exhausted chase reported no DegradationReason");
       }
-      std::set<std::string> faulted_facts =
-          GroundFactSet(faulted.database, c.theory, fsyms);
-      if (!std::includes(clean_facts.begin(), clean_facts.end(),
-                         faulted_facts.begin(), faulted_facts.end())) {
-        return fail("fault-chase-unsound",
-                    "budget-exhausted chase derived facts outside the "
-                    "clean chase");
+      if (faulted.degradation.limit != BudgetLimit::kFault) {
+        return fail("fault-chase-reason",
+                    "expected a kFault degradation, got " +
+                        faulted.degradation.ToString());
       }
-      std::string text = ToString(faulted.database, fsyms);
-      if (!have_first) {
-        have_first = true;
-        first_text = text;
-        first_steps = faulted.steps;
-        first_saturated = faulted.saturated;
-      } else if (text != first_text || faulted.steps != first_steps ||
-                 faulted.saturated != first_saturated) {
-        return fail("fault-chase-determinism",
-                    "budget-exhausted chase diverged at num_threads=" +
-                        std::to_string(threads));
-      }
+    }
+    std::set<std::string> faulted_facts =
+        GroundFactSet(faulted.database, c.theory, fsyms);
+    if (!std::includes(clean_facts.begin(), clean_facts.end(),
+                       faulted_facts.begin(), faulted_facts.end())) {
+      return fail("fault-chase-unsound",
+                  "budget-exhausted chase derived facts outside the "
+                  "clean chase");
     }
   }
 
-  // Lane: worker-delay injection must never change a single byte. The
+  // Lane: worker-delay injection must never change a single byte of the
+  // 2-lane Datalog evaluation of the case's existential-free rules. The
   // delay is 0µs (= thread yield): timed sleeps cost ~1ms of timer
   // granularity per call on small hosts, while a yield perturbs lane
   // interleaving nearly for free.
   {
+    Theory datalog_rules;
+    for (const Rule& r : c.theory.rules()) {
+      if (r.IsDatalog()) datalog_rules.AddRule(r);
+    }
+    auto evaluate = [&](ExecutionBudget* budget) {
+      SymbolTable dsyms = *symbols;
+      DatalogOptions dopts;
+      dopts.num_threads = 2;
+      dopts.budget = budget;
+      Result<DatalogResult> r =
+          EvaluateDatalog(datalog_rules, c.database, &dsyms, dopts);
+      if (!r.ok()) return std::string(r.status().message());
+      return ToString(r.value().database, dsyms) + "rounds " +
+             std::to_string(r.value().rounds) + " derived " +
+             std::to_string(r.value().derived_atoms) + " complete " +
+             std::to_string(r.value().complete);
+    };
     FaultPlan plan;
     plan.worker_delay_us = 0;
     plan.worker_delay_every = 7;
     ExecutionBudget budget(BudgetLimits{}, &plan);
-    SymbolTable dsyms = *symbols;
-    ChaseOptions dopts = chase_opts;
-    dopts.num_threads = 2;
-    dopts.budget = &budget;
-    ChaseResult delayed = Chase(c.theory, c.database, &dsyms, dopts);
-    if (delayed.saturated != clean.saturated ||
-        delayed.steps != clean.steps ||
-        ToString(delayed.database, dsyms) != clean_text) {
+    if (evaluate(&budget) != evaluate(nullptr)) {
       return fail("fault-worker-delay",
-                  "worker-delay injection changed the chase result");
+                  "worker-delay injection changed the 2-lane Datalog "
+                  "evaluation");
     }
   }
 

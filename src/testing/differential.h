@@ -118,10 +118,10 @@ DiffReport RunDifferential(unsigned seed, size_t iters,
 // seeded case, asserts that resource-governed execution degrades
 // cleanly instead of crashing, hanging, or lying:
 //   - a chase forced to exhaust its budget (seeded FaultPlan) yields a
-//     subset of the clean chase's facts, reports a populated
-//     DegradationReason, and is byte-identical across 1/2/4 worker
-//     lanes (budget trips happen at deterministic round boundaries);
-//   - worker-delay injection never changes any result byte;
+//     subset of the clean chase's facts and reports a kFault
+//     DegradationReason;
+//   - worker-delay injection never changes any byte of the 2-lane
+//     Datalog evaluation of the case's existential-free rules;
 //   - a PreparedKb forced to exhaust during materialization serves
 //     sound answers (⊆ clean) with complete=false across thread counts;
 //   - a clean snapshot save/load round-trips to identical answers, and

@@ -295,85 +295,5 @@ TEST(ChaseTest, EmptyTheoryIsAlreadySaturated) {
   EXPECT_EQ(r.steps, 0u);
 }
 
-// The batched merge (Database::InsertBatchDeferIndex behind
-// ChaseOptions::merge_batch_min) must leave no observable trace: for
-// any (batch threshold, lane count) combination the chase produces a
-// byte-identical database — null names, atom order, step count — and
-// the same saturation/cap outcome as the per-trigger legacy path.
-class MergeBatchDeterminism : public ::testing::Test {
- protected:
-  // Runs the chase on a fresh parse of (rules, facts) and renders the
-  // result with its own symbol table, so runs are byte-comparable.
-  struct Run {
-    std::string rendered;
-    size_t steps;
-    bool saturated;
-  };
-  static Run RunChase(const char* rules, const char* facts,
-                      ChaseOptions opts) {
-    SymbolTable syms;
-    Theory theory = ParseTheory(rules, &syms).value();
-    Database db = ParseDatabase(facts, &syms).value();
-    ChaseResult r = Chase(theory, db, &syms, opts);
-    return {ToString(r.database, syms), r.steps, r.saturated};
-  }
-
-  static void ExpectAllConfigsIdentical(const char* rules,
-                                        const char* facts,
-                                        ChaseOptions base) {
-    base.merge_batch_min = 0;  // Per-trigger legacy path.
-    base.num_threads = 1;
-    Run reference = RunChase(rules, facts, base);
-    for (size_t batch_min : {size_t{1}, size_t{2048}}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        ChaseOptions opts = base;
-        opts.merge_batch_min = batch_min;
-        opts.num_threads = threads;
-        Run got = RunChase(rules, facts, opts);
-        EXPECT_EQ(got.rendered, reference.rendered)
-            << "batch_min=" << batch_min << " threads=" << threads;
-        EXPECT_EQ(got.steps, reference.steps);
-        EXPECT_EQ(got.saturated, reference.saturated);
-      }
-    }
-  }
-};
-
-TEST_F(MergeBatchDeterminism, DatalogSaturation) {
-  ExpectAllConfigsIdentical(
-      "e(X, Y) -> t(X, Y).\ne(X, Y), t(Y, Z) -> t(X, Z).",
-      "e(a, b). e(b, c). e(c, d). e(d, a).", ChaseOptions());
-}
-
-TEST_F(MergeBatchDeterminism, ExistentialNullMinting) {
-  // Null names depend on firing order, so identical rendering means the
-  // batched path replays candidates in exactly the legacy order.
-  ChaseOptions opts;
-  opts.max_steps = 60;
-  ExpectAllConfigsIdentical(
-      "p(X) -> exists Y. e(X, Y).\ne(X, Y) -> p(Y).",
-      "p(a). p(b).", opts);
-}
-
-TEST_F(MergeBatchDeterminism, AtomCapStopsAtSamePoint) {
-  // The pessimistic-bound flush must preserve the exact stop decision:
-  // the capped run ends with the same atoms regardless of batching.
-  ChaseOptions opts;
-  opts.max_atoms = 12;
-  ExpectAllConfigsIdentical(
-      "e(X, Y) -> t(X, Y).\ne(X, Y), t(Y, Z) -> t(X, Z).",
-      "e(a, b). e(b, c). e(c, d). e(d, e). e(e, f).", opts);
-}
-
-TEST_F(MergeBatchDeterminism, RestrictedChaseIgnoresBatching) {
-  // The restricted chase stays per-trigger (each firing's satisfaction
-  // check must see earlier insertions); merge_batch_min is a no-op.
-  ChaseOptions opts;
-  opts.restricted = true;
-  ExpectAllConfigsIdentical(
-      "p(X) -> exists Y. e(X, Y).\ne(X, Y), e(Y, Z) -> e(X, Z).",
-      "p(a). e(a, b). e(b, c).", opts);
-}
-
 }  // namespace
 }  // namespace gerel

@@ -116,6 +116,50 @@ TEST(CliTest, BoundedChaseExitsWithCode2) {
   EXPECT_NE(r.output.find("saturated=0"), std::string::npos) << r.output;
 }
 
+// The chase is defined for negation-free programs only; a program with
+// stratified negation is a clean error (exit 1), never an abort.
+TEST(CliTest, ChaseRejectsNegationWithExit1) {
+  CommandResult r = RunCli("chase " + Data("stratified_sep.gerel"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("gerel: the chase needs a negation-free program"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("GEREL_CHECK"), std::string::npos) << r.output;
+}
+
+TEST(CliTest, AnswerChaseRouteRejectsNegationWithExit1) {
+  CommandResult r = RunCli("answer " + Data("stratified_sep.gerel") +
+                           " separated --route=chase");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("gerel: the chase needs a negation-free program "
+                          "(try --route=datalog)"),
+            std::string::npos)
+      << r.output;
+  // The Datalog route evaluates the same program.
+  CommandResult datalog = RunCli("answer " + Data("stratified_sep.gerel") +
+                                 " separated --route=datalog");
+  EXPECT_EQ(datalog.exit_code, 0) << datalog.output;
+  EXPECT_NE(datalog.output.find("8 answers"), std::string::npos)
+      << datalog.output;
+}
+
+TEST(CliTest, TreeRejectsNegationWithExit1) {
+  // Normal and frontier-guarded, so only the negation check stands
+  // between this program and the chase.
+  std::string path =
+      "/tmp/gerel_cli_negtree_" + std::to_string(getpid()) + ".gerel";
+  FILE* f = fopen(path.c_str(), "w");
+  fputs("e(X, Y) -> t(X, Y).\ne(X, Y), not t(Y, X) -> s(X, Y).\ne(a, b).\n",
+        f);
+  fclose(f);
+  CommandResult r = RunCli("tree " + path);
+  std::remove(path.c_str());
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("gerel: chase tree requires a negation-free theory"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(CliTest, DotOutputsAreWellFormed) {
   for (const char* mode : {"preds", "positions", "tree"}) {
     CommandResult r = RunCli(std::string("dot ") + mode + " " +

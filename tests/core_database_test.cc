@@ -1,13 +1,12 @@
 // Unit tests for Database storage, indexing, and the acdom built-in.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
-#include "core/parallel.h"
 #include "core/parser.h"
 #include "core/theory.h"
 
@@ -179,223 +178,79 @@ TEST(DatabaseTest, DeferredIndexingMatchesEagerIndexing) {
   }
 }
 
-TEST(DatabaseTest, ParallelIndexBuildMatchesSerial) {
-  SymbolTable syms;
-  // Enough atoms over enough relations to cross the parallel-index
-  // threshold and populate every index shard.
-  std::vector<RelationId> rels;
-  for (int i = 0; i < 24; ++i) {
-    rels.push_back(syms.Relation("rel" + std::to_string(i), 2));
-  }
-  std::vector<Term> consts;
-  for (int i = 0; i < 30; ++i) {
-    consts.push_back(syms.Constant("k" + std::to_string(i)));
-  }
-  Database serial;
-  Database parallel;
-  for (int i = 0; i < 30; ++i) {
-    for (int j = 0; j < 30; ++j) {
-      Atom a(rels[(i * 30 + j) % rels.size()], {consts[i], consts[j]});
-      serial.Insert(a);
-      parallel.InsertDeferIndex(a);
-    }
-  }
-  WorkerPool pool(4);
-  parallel.IndexNewAtoms(&pool);
-  EXPECT_EQ(serial, parallel);
-  for (RelationId rel : rels) {
-    EXPECT_EQ(serial.AtomsOf(rel), parallel.AtomsOf(rel));
-  }
-  for (Term c : consts) {
-    for (RelationId rel : rels) {
-      EXPECT_EQ(serial.AtomsAt(rel, 0, c), parallel.AtomsAt(rel, 0, c));
-      EXPECT_EQ(serial.AtomsAt(rel, 1, c), parallel.AtomsAt(rel, 1, c));
-    }
-  }
-}
-
-TEST(DatabaseTest, ConcurrentModeSingleThreadBasics) {
+// A copy owns its own segments and indexes: inserting into it (including
+// into the original's partly filled last segment) leaves the original
+// untouched. A move carries every atom and posting over and leaves the
+// source empty but usable.
+TEST(DatabaseTest, CopyIsDeepAndMoveKeepsEverything) {
   SymbolTable syms;
   RelationId r = syms.Relation("r", 2);
-  Term a = syms.Constant("a");
-  Term b = syms.Constant("b");
-  Database db;
-  db.Insert(Atom(r, {a, a}));
-  db.ReserveConcurrent(16);
-  EXPECT_TRUE(db.InsertConcurrent(Atom(r, {a, b})));
-  EXPECT_FALSE(db.InsertConcurrent(Atom(r, {a, b})));
-  EXPECT_FALSE(db.InsertConcurrent(Atom(r, {a, a})));
-  EXPECT_TRUE(db.ContainsConcurrent(Atom(r, {a, b})));
-  EXPECT_FALSE(db.ContainsConcurrent(Atom(r, {b, b})));
-  EXPECT_EQ(db.SnapshotSize(), 2u);
-  EXPECT_EQ(db.CopyAtomsOf(r).size(), 2u);
-  // Back in owner mode, the indexes reflect the concurrent inserts.
-  EXPECT_EQ(db.AtomsOf(r).size(), 2u);
-  EXPECT_EQ(db.AtomsAt(r, 1, b).size(), 1u);
-}
-
-// Hammer for the concurrent fact store: writers race InsertConcurrent
-// (with heavy duplicate pressure across threads) while readers poll
-// SnapshotSize / atom(i) / ContainsConcurrent / CopyAtomsOf. Run under
-// -DGEREL_SANITIZE=thread this is the data-race certification for the
-// segmented store; the assertions double as a linearizability smoke
-// check (no lost, duplicated, or torn atoms).
-TEST(DatabaseTest, ConcurrentInsertHammer) {
-  constexpr int kWriters = 4;
-  constexpr int kReaders = 2;
-  constexpr int kPerWriter = 2000;
-
-  SymbolTable syms;
-  RelationId r = syms.Relation("r", 2);
-  // Intern every constant before the threads start: SymbolTable is not
-  // thread-safe, and the store only accepts pre-interned terms.
+  RelationId s = syms.Relation("s", 1);
   std::vector<Term> consts;
-  for (int i = 0; i < kPerWriter; ++i) {
+  for (int i = 0; i < 40; ++i) {
     consts.push_back(syms.Constant("c" + std::to_string(i)));
   }
-
-  Database db;
-  // Writers deliberately collide: writer w inserts (c_i, c_{(i+w) mod N}),
-  // so every pair with offset < kWriters is attempted by several threads.
-  db.ReserveConcurrent(static_cast<size_t>(kWriters) * kPerWriter);
-
-  std::atomic<size_t> accepted{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kWriters + kReaders);
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&, w] {
-      size_t mine = 0;
-      for (int i = 0; i < kPerWriter; ++i) {
-        Atom a(r, {consts[i], consts[(i + w) % kPerWriter]});
-        if (db.InsertConcurrent(a)) ++mine;
-        if (i % 64 == 0) {
-          // Readback through the shared dedup set.
-          EXPECT_TRUE(db.ContainsConcurrent(a));
-        }
-      }
-      accepted.fetch_add(mine, std::memory_order_relaxed);
-    });
+  // 1,200 r-atoms plus 40 s-atoms: more than two 512-atom segments, the
+  // last one partly filled.
+  Database original;
+  for (int i = 0; i < 40; ++i) {
+    for (int j = 0; j < 30; ++j) {
+      original.Insert(Atom(r, {consts[i], consts[j]}));
+    }
+    original.Insert(Atom(s, {consts[i]}));
   }
-  for (int q = 0; q < kReaders; ++q) {
-    threads.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        size_t n = db.SnapshotSize();
-        // Every published atom must be fully visible (no torn writes).
-        for (size_t i = 0; i < n; i += 97) {
-          const Atom& a = db.atom(i);
-          EXPECT_EQ(a.pred, r);
-          EXPECT_EQ(a.args.size(), 2u);
-        }
-        std::vector<uint32_t> ids = db.CopyAtomsOf(r);
-        EXPECT_GE(ids.size(), n == 0 ? 0u : 1u);
-      }
-    });
-  }
-  for (int w = 0; w < kWriters; ++w) threads[w].join();
-  stop.store(true, std::memory_order_release);
-  for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
+  ASSERT_EQ(original.size(), 1240u);
+  const std::vector<Atom> original_atoms = original.AtomsVector();
+  const std::vector<uint32_t> original_r = original.AtomsOf(r);
+  const std::vector<uint32_t> original_at = original.AtomsAt(r, 1, consts[3]);
 
-  // Exactly the distinct pairs survive: kPerWriter per distinct offset.
-  EXPECT_EQ(accepted.load(), static_cast<size_t>(kWriters) * kPerWriter);
-  EXPECT_EQ(db.size(), static_cast<size_t>(kWriters) * kPerWriter);
-  EXPECT_EQ(db.CopyAtomsOf(r).size(), db.size());
-  // Owner-mode spot checks after the threads are gone.
-  for (int w = 0; w < kWriters; ++w) {
-    EXPECT_TRUE(db.Contains(Atom(r, {consts[17], consts[(17 + w) % kPerWriter]})));
-  }
-  EXPECT_FALSE(db.Contains(Atom(r, {consts[0], consts[kWriters]})));
-}
-
-// InsertBatchDeferIndex must be indistinguishable from the equivalent
-// sequential InsertDeferIndex loop: same newness marks (first
-// occurrence wins on in-batch duplicates), same atom order, same
-// indexes — for any lane count.
-TEST(DatabaseTest, InsertBatchDeferIndexMatchesSequential) {
-  SymbolTable syms;
-  RelationId r = syms.Relation("r", 2);
-  std::vector<Term> consts;
-  for (int i = 0; i < 50; ++i) {
-    consts.push_back(syms.Constant("b" + std::to_string(i)));
-  }
-  // ~2500 candidates with planted duplicates (every 7th repeats an
-  // earlier atom) so the batch crosses the parallel paths and exercises
-  // first-occurrence-wins.
-  std::vector<Atom> batch;
-  for (int i = 0; i < 50; ++i) {
-    for (int j = 0; j < 50; ++j) {
-      batch.push_back(Atom(r, {consts[i], consts[j]}));
-      if ((i * 50 + j) % 7 == 0 && !batch.empty()) {
-        batch.push_back(batch[batch.size() / 2]);
-      }
+  Database copy(original);
+  Database assigned;
+  assigned = original;
+  EXPECT_EQ(assigned, original);
+  EXPECT_FALSE(copy.Insert(Atom(r, {consts[0], consts[0]})));
+  for (int i = 0; i < 40; ++i) {
+    for (int j = 30; j < 40; ++j) {
+      copy.Insert(Atom(r, {consts[i], consts[j]}));
     }
   }
-  Database sequential;
-  std::vector<uint8_t> expected_new;
-  for (const Atom& a : batch) {
-    expected_new.push_back(sequential.InsertDeferIndex(a) ? 1 : 0);
+  ASSERT_EQ(copy.size(), 1640u);
+
+  EXPECT_EQ(original.size(), 1240u);
+  EXPECT_EQ(original.AtomsVector(), original_atoms);
+  EXPECT_EQ(original.AtomsOf(r), original_r);
+  EXPECT_EQ(original.AtomsAt(r, 1, consts[3]), original_at);
+  EXPECT_TRUE(original.AtomsAt(r, 1, consts[35]).empty());
+  EXPECT_FALSE(original.Contains(Atom(r, {consts[0], consts[35]})));
+  EXPECT_TRUE(copy.Contains(Atom(r, {consts[0], consts[35]})));
+
+  const std::vector<Atom> copy_atoms = copy.AtomsVector();
+  const std::vector<uint32_t> copy_r = copy.AtomsOf(r);
+  const std::vector<uint32_t> copy_s = copy.AtomsOf(s);
+  Database moved(std::move(copy));
+  EXPECT_EQ(moved.AtomsVector(), copy_atoms);
+  EXPECT_EQ(moved.AtomsOf(r), copy_r);
+  EXPECT_EQ(moved.AtomsOf(s), copy_s);
+  for (size_t i = 0; i < copy_atoms.size(); ++i) {
+    const Atom& a = copy_atoms[i];
+    EXPECT_TRUE(moved.Contains(a));
+    for (uint32_t pos = 0; pos < a.args.size(); ++pos) {
+      const std::vector<uint32_t>& at =
+          moved.AtomsAt(a.pred, pos, a.args[pos]);
+      EXPECT_TRUE(std::find(at.begin(), at.end(), i) != at.end());
+    }
   }
-  sequential.IndexNewAtoms();
+  Database move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.AtomsVector(), copy_atoms);
+  EXPECT_EQ(move_assigned.AtomsOf(r), copy_r);
 
-  WorkerPool pool(4);
-  Database batched;
-  std::vector<uint8_t> got_new;
-  size_t inserted = batched.InsertBatchDeferIndex(batch, &pool, &got_new);
-  batched.IndexNewAtoms(&pool);
-
-  EXPECT_EQ(got_new, expected_new);
-  EXPECT_EQ(inserted, sequential.size());
-  EXPECT_EQ(sequential, batched);
-  EXPECT_EQ(sequential.AtomsOf(r), batched.AtomsOf(r));
-  for (Term c : consts) {
-    EXPECT_EQ(sequential.AtomsAt(r, 0, c), batched.AtomsAt(r, 0, c));
-    EXPECT_EQ(sequential.AtomsAt(r, 1, c), batched.AtomsAt(r, 1, c));
-  }
-}
-
-TEST(DatabaseTest, InsertBatchDeferIndexAgainstExistingAtoms) {
-  SymbolTable syms;
-  RelationId r = syms.Relation("r", 2);
-  Term a = syms.Constant("a");
-  Term b = syms.Constant("b");
-  Term c = syms.Constant("c");
-  WorkerPool pool(4);
-  Database db;
-  ASSERT_TRUE(db.Insert(Atom(r, {a, b})));
-  // Batch mixes an already-present atom, a fresh one, and an in-batch
-  // duplicate of the fresh one.
-  std::vector<Atom> batch = {Atom(r, {a, b}), Atom(r, {b, c}),
-                             Atom(r, {b, c})};
-  std::vector<uint8_t> is_new;
-  EXPECT_EQ(db.InsertBatchDeferIndex(batch, &pool, &is_new), 1u);
-  EXPECT_EQ(is_new, (std::vector<uint8_t>{0, 1, 0}));
-  db.IndexNewAtoms();
-  EXPECT_EQ(db.size(), 2u);
-
-  std::vector<uint8_t> empty_new;
-  EXPECT_EQ(db.InsertBatchDeferIndex({}, &pool, &empty_new), 0u);
-  EXPECT_TRUE(empty_new.empty());
-}
-
-TEST(DatabaseTest, InsertBatchDeferIndexSequentialFallback) {
-  SymbolTable syms;
-  RelationId r = syms.Relation("r", 2);
-  std::vector<Atom> batch;
-  for (int i = 0; i < 600; ++i) {
-    batch.push_back(Atom(r, {syms.Constant("x" + std::to_string(i)),
-                             syms.Constant("y" + std::to_string(i % 13))}));
-  }
-  Database with_pool;
-  Database without_pool;
-  std::vector<uint8_t> new_a;
-  std::vector<uint8_t> new_b;
-  WorkerPool pool(4);
-  with_pool.InsertBatchDeferIndex(batch, &pool, &new_a);
-  without_pool.InsertBatchDeferIndex(batch, nullptr, &new_b);
-  with_pool.IndexNewAtoms(&pool);
-  without_pool.IndexNewAtoms();
-  EXPECT_EQ(new_a, new_b);
-  EXPECT_EQ(with_pool, without_pool);
+  // The moved-from databases are empty and accept inserts again.
+  EXPECT_TRUE(copy.empty());
+  EXPECT_TRUE(moved.empty());
+  EXPECT_TRUE(copy.AtomsOf(r).empty());
+  EXPECT_TRUE(copy.Insert(Atom(s, {consts[0]})));
+  EXPECT_EQ(copy.AtomsOf(s), std::vector<uint32_t>{0});
 }
 
 }  // namespace

@@ -474,42 +474,6 @@ TEST_P(PropertyTest, MagicSetsPreservesAnswers) {
   EXPECT_EQ(magic.value(), expected) << ToString(t, syms);
 }
 
-// P-par1: the piece-parallel chase is byte-identical to the sequential
-// chase — same atoms in the same order, same labeled-null names, same
-// step count — for any worker-lane count, in both oblivious and
-// restricted modes. Each run gets its own copy of the symbol table so
-// fresh-null interning cannot leak between runs.
-TEST_P(PropertyTest, ParallelChaseIsByteIdenticalToSequential) {
-  SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.num_rules = 5;
-  params.existential_prob = 0.5;
-  Theory t = gen.Theory_(params);
-  Database db = gen.Database_(8, 4);
-  for (bool restricted : {false, true}) {
-    ChaseOptions opts;
-    opts.max_steps = 4000;
-    opts.max_atoms = 4000;
-    opts.restricted = restricted;
-    SymbolTable seq_syms = syms;
-    ChaseResult seq = Chase(t, db, &seq_syms, opts);
-    std::string seq_text = ToString(seq.database, seq_syms);
-    for (size_t threads : {size_t{2}, size_t{4}}) {
-      SymbolTable par_syms = syms;
-      ChaseOptions popts = opts;
-      popts.num_threads = threads;
-      ChaseResult par = Chase(t, db, &par_syms, popts);
-      EXPECT_EQ(par.saturated, seq.saturated)
-          << "restricted=" << restricted << " threads=" << threads;
-      EXPECT_EQ(par.steps, seq.steps)
-          << "restricted=" << restricted << " threads=" << threads;
-      EXPECT_EQ(ToString(par.database, par_syms), seq_text)
-          << "restricted=" << restricted << " threads=" << threads;
-    }
-  }
-}
-
 // P-par2: parallel saturation is byte-identical to sequential
 // saturation — same closure rules in the same order, same inference
 // count — for any worker-lane count.

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fault.h"
@@ -184,6 +185,155 @@ TEST_F(SnapshotTest, FaultPlanCorruptionIsDetectedAndRecoverable) {
     SymbolTable recovered_syms;
     auto recovered = PrepareWg(&recovered_syms);
     EXPECT_EQ(QueryNodes(recovered.get(), &recovered_syms), clean_answers);
+  }
+}
+
+// --- Well-sealed but malformed payloads ---------------------------------
+//
+// The checksum only proves the bytes were read as written. These images
+// are corrupted *and then re-sealed* (FNV-1a trailer recomputed), so the
+// loader's own payload checks must reject them before an engine sees an
+// atom it cannot handle.
+
+constexpr size_t kHeaderBytes = 8 + 4 + 8;  // magic, version, payload size
+
+std::string ReadImage(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteResealed(const std::string& path, std::string image) {
+  size_t payload_end = image.size() - 8;
+  uint64_t h = 14695981039346656037ull;
+  for (size_t i = kHeaderBytes; i < payload_end; ++i) {
+    h ^= static_cast<uint8_t>(image[i]);
+    h *= 1099511628211ull;
+  }
+  for (int i = 0; i < 8; ++i) {
+    image[payload_end + i] = static_cast<char>((h >> (8 * i)) & 0xFF);
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(image.data(), image.size());
+}
+
+void PutU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+// The serialized record of a binary atom without annotation.
+std::string AtomBytes(RelationId pred, Term a, Term b) {
+  std::string out;
+  PutU32(&out, pred);
+  PutU32(&out, 2);
+  PutU32(&out, a.bits());
+  PutU32(&out, b.bits());
+  PutU32(&out, 0);
+  return out;
+}
+
+// Saves a snapshot and locates the two records of tag(k1, k2) in it: the
+// first lies in the EDB, the second in the model (no rule mentions `tag`).
+class MalformedSnapshotTest : public SnapshotTest {
+ protected:
+  void SetUp() override {
+    SnapshotTest::SetUp();
+    Theory t = ParseTheory(kWgTheory, &syms_).value();
+    Database db =
+        ParseDatabase("gen(a). e(a, b). e(b, c). tag(k1, k2).", &syms_).value();
+    Result<std::unique_ptr<PreparedKb>> kb = PreparedKb::Prepare(t, db, &syms_);
+    ASSERT_TRUE(kb.ok()) << kb.status().message();
+    ASSERT_TRUE(kb.value()->SaveSnapshot(path_).ok());
+    image_ = ReadImage(path_);
+    std::string record = AtomBytes(syms_.Relation("tag"), syms_.Constant("k1"),
+                                   syms_.Constant("k2"));
+    edb_at_ = image_.find(record, kHeaderBytes);
+    ASSERT_NE(edb_at_, std::string::npos);
+    model_at_ = image_.find(record, edb_at_ + record.size());
+    ASSERT_NE(model_at_, std::string::npos);
+    // Re-sealing alone must not be what the tests below trip over.
+    Result<std::unique_ptr<PreparedKb>> clean = LoadResealed(image_);
+    ASSERT_TRUE(clean.ok()) << clean.status().message();
+  }
+
+  // Loads `image` after re-sealing it into a fresh symbol table.
+  Result<std::unique_ptr<PreparedKb>> LoadResealed(const std::string& image) {
+    WriteResealed(path_, image);
+    SymbolTable fresh;
+    return PreparedKb::LoadSnapshot(path_, &fresh);
+  }
+
+  // Overwrites the u32 at `at` in a copy of the image.
+  std::string Patched(size_t at, uint32_t v) const {
+    std::string bad = image_;
+    std::string bytes;
+    PutU32(&bytes, v);
+    bad.replace(at, 4, bytes);
+    return bad;
+  }
+
+  SymbolTable syms_;
+  std::string image_;
+  size_t edb_at_ = 0;
+  size_t model_at_ = 0;
+};
+
+TEST_F(MalformedSnapshotTest, RejectsVariableInEdbAtom) {
+  // tag(X, k2) in the EDB: a database atom may not hold a variable.
+  size_t first_arg = edb_at_ + 8;
+  Result<std::unique_ptr<PreparedKb>> loaded =
+      LoadResealed(Patched(first_arg, Term::Variable(0).bits()));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("corrupt payload"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
+TEST_F(MalformedSnapshotTest, RejectsUnknownIdsInModelAtom) {
+  size_t first_arg = model_at_ + 8;
+  const std::pair<size_t, uint32_t> corruptions[] = {
+      // A constant id far past the constant table.
+      {first_arg, 0x3FFFFFF0u},
+      // A null at or above the restored null counter.
+      {first_arg, Term::Null(syms_.NumNulls()).bits()},
+      // A variable in a model atom.
+      {first_arg, Term::Variable(0).bits()},
+      // A relation id past the relation table.
+      {model_at_, static_cast<uint32_t>(syms_.NumRelations())},
+      // A known relation of another arity (gen/1).
+      {model_at_, syms_.Relation("gen")},
+  };
+  for (const auto& [at, value] : corruptions) {
+    Result<std::unique_ptr<PreparedKb>> loaded =
+        LoadResealed(Patched(at, value));
+    ASSERT_FALSE(loaded.ok()) << "accepted 0x" << std::hex << value
+                              << " at byte " << std::dec << at;
+    EXPECT_NE(loaded.status().message().find("corrupt payload"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+}
+
+TEST_F(MalformedSnapshotTest, RejectsRepeatedSymbolNames) {
+  // A repeated name would re-intern to an earlier id: for a relation of
+  // another arity that trips the symbol table's arity check, for a
+  // constant it shifts every later constant's id.
+  const std::pair<std::string, std::string> renames[] = {
+      {std::string("\x03\0\0\0tag", 7), std::string("\x03\0\0\0gen", 7)},
+      {std::string("\x02\0\0\0k2", 6), std::string("\x02\0\0\0k1", 6)},
+  };
+  for (const auto& [from, to] : renames) {
+    std::string bad = image_;
+    size_t at = bad.find(from, kHeaderBytes);
+    ASSERT_NE(at, std::string::npos);
+    bad.replace(at, from.size(), to);
+    Result<std::unique_ptr<PreparedKb>> loaded = LoadResealed(bad);
+    ASSERT_FALSE(loaded.ok()) << "accepted a repeated " << to.substr(4);
+    EXPECT_NE(loaded.status().message().find("corrupt payload"),
+              std::string::npos)
+        << loaded.status().message();
   }
 }
 

@@ -26,8 +26,9 @@
 //   --max-steps=N --max-atoms=N --max-depth=N
 // Translation/serving options:
 //   --max-rules=N (cap the rewrite/grounding/saturation stages)
-//   --threads=N   (worker lanes for the chase, saturation, and Datalog
-//                  evaluation; results are byte-identical for any value)
+//   --threads=N   (worker lanes for saturation and Datalog evaluation;
+//                  answers are identical for any value; the chase always
+//                  runs on one thread)
 //
 // Resource governance (chase/answer/serve):
 //   --timeout-ms=N (wall-clock budget; exhaustion degrades to sound
@@ -79,6 +80,9 @@ int Fail(const std::string& message) {
   std::fprintf(stderr, "gerel: %s\n", message.c_str());
   return 1;
 }
+
+constexpr char kChaseNeedsPositive[] =
+    "the chase needs a negation-free program";
 
 Result<std::string> ReadFile(const char* path) {
   std::ifstream in(path);
@@ -277,6 +281,10 @@ int RunChase(const ParsedArgs& args) {
   if (!text.ok()) return Fail(text.status().message());
   auto program = ParseProgram(text.value(), &syms);
   if (!program.ok()) return Fail(program.status().message());
+  if (program.value().theory.HasNegation()) {
+    return Fail(std::string(kChaseNeedsPositive) +
+                " (for stratified negation use answer --route=datalog)");
+  }
   ChaseOptions chase_opts = args.chase;
   ExecutionBudget budget(CliBudget(args), GlobalFaultPlan());
   if (args.timeout_ms > 0) chase_opts.budget = &budget;
@@ -387,6 +395,9 @@ int Answer(const ParsedArgs& args) {
   ExecutionBudget* budget_ptr = limits.unlimited() ? nullptr : &budget;
   DegradationReason degradation;
   if (args.route == "chase") {
+    if (program.value().theory.HasNegation()) {
+      return Fail(std::string(kChaseNeedsPositive) + " (try --route=datalog)");
+    }
     ChaseOptions chase_opts = args.chase;
     chase_opts.budget = budget_ptr;
     ChaseResult r = Chase(program.value().theory, program.value().database,
@@ -751,7 +762,6 @@ int main(int argc, char** argv) {
       args.max_rules = static_cast<size_t>(value);
     } else if (ParseFlag(argv[i], "--threads", &value)) {
       args.threads = static_cast<size_t>(value);
-      args.chase.num_threads = args.threads;
     } else if (std::strncmp(argv[i], "--route=", 8) == 0) {
       args.route = argv[i] + 8;
     } else {
