@@ -100,10 +100,9 @@ void BM_MagicSetsVsFullEvaluation(benchmark::State& state) {
   RelationId e = syms.Relation("e", 2);
   for (int chain = 0; chain < 24; ++chain) {
     for (int i = 0; i + 1 < 16; ++i) {
-      db.Insert(Atom(e, {syms.Constant("c" + std::to_string(chain) + "_" +
-                                       std::to_string(i)),
-                         syms.Constant("c" + std::to_string(chain) + "_" +
-                                       std::to_string(i + 1))}));
+      std::string prefix = IndexedName("c", chain) + "_";
+      db.Insert(Atom(e, {syms.Constant(IndexedName(prefix, i)),
+                         syms.Constant(IndexedName(prefix, i + 1))}));
     }
   }
   Atom query = ParseAtom("tc(c0_0, Z)", &syms).value();

@@ -66,7 +66,7 @@ void BM_WeaklyGuardedChaseGrowth(benchmark::State& state) {
     Database db = ChainDatabase(gens, "e", &fresh);
     RelationId gen = fresh.Relation("gen", 1);
     for (int i = 0; i < gens; ++i) {
-      db.Insert(Atom(gen, {fresh.Constant("a" + std::to_string(i))}));
+      db.Insert(Atom(gen, {fresh.Constant(IndexedName("a", i))}));
     }
     state.ResumeTiming();
     ChaseResult r = Chase(t, db, &fresh);

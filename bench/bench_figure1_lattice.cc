@@ -105,7 +105,7 @@ void BM_AffectedPositionsFixpoint(benchmark::State& state) {
   SymbolTable syms;
   std::string text = "seed(X) -> exists Y. q0(X, Y).\n";
   for (int i = 0; i < state.range(0); ++i) {
-    text += "q" + std::to_string(i) + "(X, Y) -> q" + std::to_string(i + 1) +
+    text += IndexedName("q", i) + "(X, Y) -> " + IndexedName("q", i + 1) +
             "(Y, X).\n";
   }
   Theory t = MustTheory(text.c_str(), &syms);

@@ -63,7 +63,7 @@ void PrintVerification() {
     Term head = syms.Constant("a0");
     double total = 0;
     for (int i = 0; i < kOps; ++i) {
-      Atom extra(e, {syms.Constant("x" + std::to_string(i)), head});
+      Atom extra(e, {syms.Constant(IndexedName("x", i)), head});
       if (!kb.value()->Assert({extra}).ok()) return;
       auto t0 = now();
       auto r = kb.value()->Retract({extra});
@@ -103,7 +103,7 @@ void BM_RetractLatency(benchmark::State& state) {
   std::vector<Atom> facts;
   for (int i = 0; i < 1200; ++i) {
     facts.emplace_back(
-        e, std::vector<Term>{syms.Constant("x" + std::to_string(i)), head});
+        e, std::vector<Term>{syms.Constant(IndexedName("x", i)), head});
   }
   size_t i = 0;
   for (auto _ : state) {

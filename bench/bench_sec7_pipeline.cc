@@ -23,7 +23,7 @@ const char* kKb = R"(
 Database MakeDb(int n, SymbolTable* syms) {
   Database db = ChainDatabase(n, "e", syms);
   db.Insert(Atom(syms->Relation("gen", 1),
-                 {syms->Constant("a" + std::to_string(n - 1))}));
+                 {syms->Constant(IndexedName("a", n - 1))}));
   return db;
 }
 

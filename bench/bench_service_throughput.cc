@@ -36,7 +36,7 @@ Rule MakeQuery(int i, SymbolTable* syms) {
   // through kChain distinct queries also exercises the answer cache).
   RelationId t = syms->Relation("t", 2);
   RelationId q = syms->Relation("q", 1);
-  Term a = syms->Constant("a" + std::to_string(i % kChain));
+  Term a = syms->Constant(IndexedName("a", i % kChain));
   Term v = syms->Variable("V");
   return Rule::Positive({Atom(t, {a, v})}, {Atom(q, {v})});
 }
@@ -85,7 +85,7 @@ void PrintVerification() {
   double prepared_ms = ms(now() - t0);
 
   RelationId e = syms.Relation("e", 2);
-  Atom extra(e, {syms.Constant("a" + std::to_string(kChain - 1)),
+  Atom extra(e, {syms.Constant(IndexedName("a", kChain - 1)),
                  syms.Constant("fresh")});
   t0 = now();
   auto assert_result = kb.value()->Assert({extra});
@@ -178,8 +178,8 @@ void BM_PreparedAssertDelta(benchmark::State& state) {
   // body is pure Assert (or assert + rebuild when delta is off).
   std::vector<Atom> facts;
   for (int i = 0; i < 4096; ++i) {
-    facts.push_back(Atom(e, {syms.Constant("x" + std::to_string(i)),
-                             syms.Constant("x" + std::to_string(i + 1))}));
+    facts.push_back(Atom(e, {syms.Constant(IndexedName("x", i)),
+                             syms.Constant(IndexedName("x", i + 1))}));
   }
   auto kb = PreparedKb::Prepare(theory, db, &syms);
   if (!kb.ok()) {

@@ -51,9 +51,9 @@ Database WgGenDatabase(int chain, SymbolTable* syms) {
 Theory WaChainTheory(int stages, SymbolTable* syms) {
   std::string text;
   for (int i = 0; i < stages; ++i) {
-    std::string p = "p" + std::to_string(i);
-    std::string r = "r" + std::to_string(i);
-    std::string next = "p" + std::to_string(i + 1);
+    std::string p = IndexedName("p", i);
+    std::string r = IndexedName("r", i);
+    std::string next = IndexedName("p", i + 1);
     text += p + "(X) -> exists Y. " + r + "(X, Y).\n";
     text += r + "(X, Y) -> " + next + "(Y).\n";
   }
@@ -66,8 +66,8 @@ Theory WaChainTheory(int stages, SymbolTable* syms) {
 Theory RefutedTheory(int padding, SymbolTable* syms) {
   std::string text = "r(X, Y) -> exists Z. r(Y, Z).\n";
   for (int i = 0; i < padding; ++i) {
-    std::string s = "s" + std::to_string(i);
-    std::string next = "s" + std::to_string(i + 1);
+    std::string s = IndexedName("s", i);
+    std::string next = IndexedName("s", i + 1);
     text += s + "(X, Y), " + next + "(Y, Z) -> " + next + "(X, Z).\n";
   }
   return MustTheory(text.c_str(), syms);

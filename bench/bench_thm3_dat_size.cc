@@ -96,36 +96,6 @@ void BM_EvaluateDatChainVsChase(benchmark::State& state) {
 BENCHMARK(BM_EvaluateDatChainVsChase)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_EvaluateDatThreads(benchmark::State& state) {
-  // The translated program evaluated with the parallel semi-naive engine:
-  // rules of a round match concurrently against the round snapshot. The
-  // final database is identical for every lane count (the engine merges
-  // per-rule buffers in rule order); wall time depends on available cores.
-  int len = 6;
-  SymbolTable syms;
-  Theory t = MustTheory(GuardedChainTheoryText(len).c_str(), &syms);
-  auto sat = Saturate(t, &syms);
-  std::string facts;
-  for (int i = 0; i < 24; ++i) {
-    facts += "s0(c" + std::to_string(i) + ").\n";
-  }
-  Database db = ParseDatabase(facts.c_str(), &syms).value();
-  DatalogOptions options;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  size_t derived = 0, rounds = 0;
-  for (auto _ : state) {
-    auto eval = EvaluateDatalog(sat.value().datalog, db, &syms, options);
-    benchmark::DoNotOptimize(eval.ok());
-    derived = eval.value().derived_atoms;
-    rounds = eval.value().rounds;
-  }
-  state.counters["derived"] = static_cast<double>(derived);
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["eval_threads"] = static_cast<double>(options.num_threads);
-}
-BENCHMARK(BM_EvaluateDatThreads)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

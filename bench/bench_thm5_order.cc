@@ -19,7 +19,7 @@ Database DomainDb(int n, SymbolTable* syms) {
   Database db;
   RelationId d = syms->Relation("dom", 1);
   for (int i = 0; i < n; ++i) {
-    db.Insert(Atom(d, {syms->Constant("c" + std::to_string(i))}));
+    db.Insert(Atom(d, {syms->Constant(IndexedName("c", i))}));
   }
   return db;
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "core/database.h"
 #include "core/parser.h"
 #include "core/symbol_table.h"
@@ -47,12 +48,12 @@ inline Database PublicationDatabase(int pubs, SymbolTable* syms) {
   RelationId hastopic = syms->Relation("hastopic", 2);
   RelationId scientific = syms->Relation("scientific", 1);
   for (int i = 0; i < pubs; ++i) {
-    Term p = c("p" + std::to_string(i));
+    Term p = c(IndexedName("p", i));
     db.Insert(Atom(publication, {p}));
-    db.Insert(Atom(hasauthor, {p, c("auth" + std::to_string(i / 2))}));
-    db.Insert(Atom(hasauthor, {p, c("auth" + std::to_string(i / 2 + 1))}));
+    db.Insert(Atom(hasauthor, {p, c(IndexedName("auth", i / 2))}));
+    db.Insert(Atom(hasauthor, {p, c(IndexedName("auth", i / 2 + 1))}));
     if (i + 1 < pubs) {
-      db.Insert(Atom(citedin, {p, c("p" + std::to_string(i + 1))}));
+      db.Insert(Atom(citedin, {p, c(IndexedName("p", i + 1))}));
     }
   }
   db.Insert(Atom(hastopic, {c("p0"), c("t0")}));
@@ -66,8 +67,8 @@ inline Database ChainDatabase(int n, const std::string& rel,
   Database db;
   RelationId e = syms->Relation(rel, 2);
   for (int i = 0; i + 1 < n; ++i) {
-    db.Insert(Atom(e, {syms->Constant("a" + std::to_string(i)),
-                       syms->Constant("a" + std::to_string(i + 1))}));
+    db.Insert(Atom(e, {syms->Constant(IndexedName("a", i)),
+                       syms->Constant(IndexedName("a", i + 1))}));
   }
   return db;
 }
@@ -80,8 +81,8 @@ inline Database RandomGraph(int n, int m, const std::string& rel,
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> node(0, n - 1);
   for (int i = 0; i < m; ++i) {
-    db.Insert(Atom(e, {syms->Constant("v" + std::to_string(node(rng))),
-                       syms->Constant("v" + std::to_string(node(rng)))}));
+    db.Insert(Atom(e, {syms->Constant(IndexedName("v", node(rng))),
+                       syms->Constant(IndexedName("v", node(rng)))}));
   }
   return db;
 }
@@ -94,7 +95,7 @@ inline std::string NullCycleTheoryText(int cycle_len) {
   std::string gen = "a(X) -> exists ";
   for (int i = 0; i + 1 < cycle_len; ++i) {
     if (i > 0) gen += ", ";
-    gen += "Y" + std::to_string(i);
+    gen += IndexedName("Y", i);
   }
   gen += ". r(X, Y0)";
   for (int i = 0; i + 2 < cycle_len; ++i) {
@@ -116,13 +117,13 @@ inline std::string NullCycleTheoryText(int cycle_len) {
 inline std::string GuardedChainTheoryText(int length) {
   std::string out = "s0(X) -> exists Y. s1(X, Y).\n";
   for (int i = 1; i < length; ++i) {
-    out += "s" + std::to_string(i) + "(X, Y) -> exists Z. s" +
-           std::to_string(i + 1) + "(Y, Z).\n";
+    out += IndexedName("s", i) + "(X, Y) -> exists Z. " +
+           IndexedName("s", i + 1) + "(Y, Z).\n";
   }
-  out += "s" + std::to_string(length) + "(X, Y) -> goal(X).\n";
+  out += IndexedName("s", length) + "(X, Y) -> goal(X).\n";
   // Propagate goal back down the chain so saturation has work to do.
   for (int i = length; i >= 1; --i) {
-    out += "s" + std::to_string(i) + "(X, Y), goal(Y) -> goal(X).\n";
+    out += IndexedName("s", i) + "(X, Y), goal(Y) -> goal(X).\n";
   }
   return out;
 }
@@ -130,6 +131,7 @@ inline std::string GuardedChainTheoryText(int length) {
 // Console reporter that additionally accumulates every finished run, so
 // the binary can drop a machine-readable BENCH_<name>.json next to the
 // console table (regression tracking across commits; see EXPERIMENTS.md).
+// Each dump carries a provenance object (bench/provenance.h).
 class JsonDumpReporter : public ::benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -156,8 +158,8 @@ class JsonDumpReporter : public ::benchmark::ConsoleReporter {
       }
       return out;
     };
-    std::fprintf(f, "{\n  \"binary\": \"%s\",\n  \"benchmarks\": [\n",
-                 escape(binary_name).c_str());
+    std::fprintf(f, "{\n  \"binary\": \"%s\",\n  %s,\n  \"benchmarks\": [\n",
+                 escape(binary_name).c_str(), ProvenanceJsonMember().c_str());
     for (size_t i = 0; i < runs_.size(); ++i) {
       const Run& run = runs_[i];
       double iters = run.iterations > 0

@@ -70,7 +70,7 @@ int main() {
     gerel::Database db;
     gerel::RelationId d = syms2.Relation("dom", 1);
     for (int i = 0; i < n; ++i) {
-      db.Insert(gerel::Atom(d, {syms2.Constant("c" + std::to_string(i))}));
+      db.Insert(gerel::Atom(d, {syms2.Constant(gerel::IndexedName("c", i))}));
     }
     auto result =
         gerel::RunOrderProgram(prog, parity.value(), db, &syms2);

@@ -43,7 +43,9 @@ std::string JsonStringArray(const std::vector<std::string>& items) {
   std::string out = "[";
   for (size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + JsonEscape(items[i]) + "\"";
+    out += '"';
+    out += JsonEscape(items[i]);
+    out += '"';
   }
   return out + "]";
 }

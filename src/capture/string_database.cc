@@ -29,7 +29,7 @@ Result<StringDatabase> MakeStringDatabase(const std::vector<int>& word,
   StringDatabase out;
   out.signature = signature;
   for (size_t i = 0; i < n; ++i) {
-    out.domain.push_back(symbols->Constant("d" + std::to_string(i)));
+    out.domain.push_back(symbols->Constant(IndexedName("d", i)));
   }
   std::vector<RelationId> symbol_rels;
   for (const std::string& name : signature.alphabet) {

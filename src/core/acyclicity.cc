@@ -50,7 +50,10 @@ bool Reaches(uint64_t from, uint64_t to,
 
 std::string SkolemFunctionName(const SkolemFunction& f,
                                const SymbolTable& symbols) {
-  return "r" + std::to_string(f.rule) + "." + symbols.VariableName(f.var);
+  std::string name = IndexedName("r", f.rule);
+  name += '.';
+  name += symbols.VariableName(f.var);
+  return name;
 }
 
 bool IsWeaklyAcyclic(const Theory& theory) {

@@ -7,7 +7,7 @@
 // Every governed round loop (chase rounds, saturation frontiers, the
 // rewriting/grounding closures, Datalog evaluation passes) calls
 // CheckRound() at round boundaries; tight inner loops call the amortized
-// CheckPoint(); parallel worker lanes poll the lock-free ExhaustedFast()
+// CheckPoint(); the saturation lanes poll the lock-free ExhaustedFast()
 // between work units so they stop promptly while the deterministic merge
 // still applies only completed units.
 //

@@ -9,8 +9,8 @@
 //
 // Threading contract: a Database has a single owner. All mutation goes
 // through one thread; concurrent readers are safe only while no thread
-// mutates (the parallel Datalog and saturation rounds read a round's
-// immutable database, and their merges insert afterwards).
+// mutates. No engine reads a Database from several threads (the
+// saturation lanes work on rules, not facts).
 #ifndef GEREL_CORE_DATABASE_H_
 #define GEREL_CORE_DATABASE_H_
 

@@ -84,7 +84,7 @@ void SetFaultPlanForTest(const FaultPlan* plan);
 
 // Sleeps (or yields, when the plan's delay is 0µs) per `plan` when
 // `unit` is a delay-selected work unit. Safe to call with a null plan
-// (no-op). Called from worker lanes.
+// (no-op). Called from the saturation lanes (transform/saturation.cc).
 void MaybeInjectWorkerDelay(const FaultPlan* plan, uint64_t unit);
 
 }  // namespace gerel

@@ -117,4 +117,10 @@ std::string SymbolTable::TermName(Term t) const {
   return "";
 }
 
+std::string IndexedName(std::string_view prefix, uint64_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 }  // namespace gerel

@@ -89,6 +89,12 @@ class SymbolTable {
   uint32_t fresh_counter_ = 0;
 };
 
+// `prefix` followed by the decimal `index` ("k3"): how generators and
+// translations name the constants, variables and relations they mint.
+// Built by appending: GCC 12 flags the equivalent `"k" + std::to_string(i)`
+// with a false-positive -Wrestrict at -O3.
+std::string IndexedName(std::string_view prefix, uint64_t index);
+
 }  // namespace gerel
 
 #endif  // GEREL_CORE_SYMBOL_TABLE_H_

@@ -27,14 +27,6 @@ struct DatalogOptions {
   bool populate_acdom = true;
   // Safety valve on fixpoint rounds per stratum; 0 = unlimited.
   size_t max_rounds = 0;
-  // Worker lanes per semi-naive round (1 = fully sequential, the
-  // reference behavior). With more lanes the rules of a stratum match
-  // concurrently against the round's immutable snapshot and emit into
-  // per-rule buffers that are merged in rule order at the barrier, so
-  // the final database (as a set) and all answers are independent of the
-  // lane count; the round count may differ from the sequential engine's,
-  // because buffered derivations only become visible next round.
-  size_t num_threads = 1;
   // Optional execution budget; checked at round boundaries and,
   // amortized, inside rule evaluation. Not owned. Exhaustion stops the
   // pass cleanly with complete = false: the partial fixpoint is sound

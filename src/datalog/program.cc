@@ -1,10 +1,7 @@
 #include "datalog/program.h"
 
-#include <algorithm>
-
 #include "core/check.h"
 #include "core/join_plan.h"
-#include "core/parallel.h"
 
 namespace gerel {
 
@@ -34,26 +31,15 @@ class RuleEvaluator {
     seeded_.resize(positives_.size());
   }
 
-  size_t num_positives() const { return positives_.size(); }
-
   // Fires the rule for every homomorphism with at least one positive atom
-  // in the delta window. With a null `buffer`, heads are inserted into
-  // *db as they are derived (and become visible to the enumeration, the
-  // sequential reference semantics); with a buffer, *db is read-only and
-  // heads are emitted for the caller to merge at the round barrier.
-  // Returns the number of new atoms inserted (0 in buffered mode).
-  //
-  // With `slog` set in direct-insert mode, every inserted atom records a
-  // derivation support (matched positive body atom indices). In buffered
-  // mode `support_out` receives one group of num_positives() indices per
-  // buffered atom, for the caller to record at merge time.
+  // in the delta window. Heads are inserted into *db as they are derived
+  // and become visible to the rest of the enumeration. Returns the
+  // number of new atoms inserted. With `slog` set, every inserted atom
+  // records a derivation support (matched positive body atom indices).
   size_t Evaluate(Database* db, size_t delta_begin, size_t delta_end,
-                  bool restrict_to_delta, std::vector<Atom>* buffer,
-                  ExecutionBudget* budget = nullptr,
-                  SupportLog* slog = nullptr,
-                  std::vector<uint32_t>* support_out = nullptr) {
+                  bool restrict_to_delta, ExecutionBudget* budget,
+                  SupportLog* slog) {
     size_t added = 0;
-    const bool db_grows = buffer == nullptr;
     const CompiledRule* firing = nullptr;
     auto fire = [&](const JoinExecutor& e) {
       // Amortized deadline/cancel check inside (possibly huge) joins.
@@ -72,16 +58,7 @@ class RuleEvaluator {
       for (const CompiledAtom& head : firing->heads) {
         Atom derived = e.Apply(head);
         GEREL_CHECK(derived.IsDatabaseAtom());
-        if (buffer != nullptr) {
-          if (!db->Contains(derived)) {
-            buffer->push_back(std::move(derived));
-            if (support_out != nullptr) {
-              const std::vector<uint32_t>& body = e.MatchedAtomIndices();
-              support_out->insert(support_out->end(), body.begin(),
-                                  body.end());
-            }
-          }
-        } else if (db->Insert(derived)) {
+        if (db->Insert(derived)) {
           ++added;
           ++stats_.derived;
           if (slog != nullptr) {
@@ -103,7 +80,7 @@ class RuleEvaluator {
       // visits exactly one (empty) match — the fact-rule case.
       firing = &full_;
       exec_.Reset(full_.plan);
-      exec_.Execute(full_.plan, *db, fire, db_grows);
+      exec_.Execute(full_.plan, *db, fire, /*db_grows=*/true);
       return added;
     }
     for (size_t j = 0; j < positives_.size(); ++j) {
@@ -117,7 +94,7 @@ class RuleEvaluator {
         // ExecuteSeeded matches plan level 0 (body atom j) against the
         // delta atom only; repeated-variable mismatches visit nothing.
         exec_.ExecuteSeeded(seeded_[j].plan, *db, db->atom(ai), fire,
-                            db_grows, static_cast<uint32_t>(ai));
+                            /*db_grows=*/true, static_cast<uint32_t>(ai));
       }
     }
     return added;
@@ -171,10 +148,6 @@ struct DatalogProgram::Rep {
   bool has_negation = false;
   std::vector<RuleStats> rule_stats;               // Cumulative.
   std::vector<std::vector<RuleEvaluator>> strata;  // Evaluators per stratum.
-  std::unique_ptr<WorkerPool> pool;
-  std::vector<std::vector<Atom>> buffers;  // Parallel-round scratch.
-  // Parallel-round support scratch: one index group per buffered atom.
-  std::vector<std::vector<uint32_t>> support_buffers;
 
   // Runs all strata over *db. For a full pass the first round of each
   // stratum scans the whole database; for an incremental pass every
@@ -188,10 +161,8 @@ Result<EvalPassStats> DatalogProgram::Rep::RunPass(Database* db,
                                                    size_t delta_begin) {
   EvalPassStats pass;
   size_t initial = db->size();
-  size_t num_threads = std::max<size_t>(1, options.num_threads);
   ExecutionBudget* budget = options.budget;
   SupportLog* slog = options.support_log;
-  const FaultPlan* fault = budget != nullptr ? budget->fault_plan() : nullptr;
   for (size_t si = 0; si < strat.strata.size() && pass.complete; ++si) {
     const std::vector<uint32_t>& stratum = strat.strata[si];
     std::vector<RuleEvaluator>& evaluators = strata[si];
@@ -214,53 +185,8 @@ Result<EvalPassStats> DatalogProgram::Rep::RunPass(Database* db,
       // from this stratum's perspective; in an incremental pass only the
       // delta window is.
       size_t begin = restrict ? win_begin : 0;
-      if (num_threads == 1) {
-        for (RuleEvaluator& ev : evaluators) {
-          added += ev.Evaluate(db, begin, delta_end, restrict,
-                               /*buffer=*/nullptr, budget, slog);
-        }
-      } else {
-        // Parallel round: the database is immutable while the rules
-        // match (per-rule buffers, no snapshot copies needed), then the
-        // buffers merge in rule order — a deterministic sequence of
-        // Insert calls, so the resulting database is independent of
-        // thread scheduling.
-        buffers.resize(evaluators.size());
-        if (slog != nullptr) support_buffers.resize(evaluators.size());
-        std::vector<char> unit_done(evaluators.size(), 0);
-        pool->Run(evaluators.size(), [&](size_t k) {
-          buffers[k].clear();
-          if (slog != nullptr) support_buffers[k].clear();
-          // Workers observe the shared exhaustion flag between units;
-          // a skipped unit leaves unit_done unset so the merge applies
-          // only completed units.
-          if (budget != nullptr && budget->ExhaustedFast()) return;
-          MaybeInjectWorkerDelay(fault, k);
-          evaluators[k].Evaluate(db, begin, delta_end, restrict,
-                                 &buffers[k], budget, /*slog=*/nullptr,
-                                 slog != nullptr ? &support_buffers[k]
-                                                 : nullptr);
-          unit_done[k] = 1;
-        });
-        for (size_t k = 0; k < evaluators.size(); ++k) {
-          if (!unit_done[k]) {
-            pass.complete = false;
-            continue;
-          }
-          const size_t stride = evaluators[k].num_positives();
-          size_t bi = 0;
-          for (Atom& atom : buffers[k]) {
-            if (db->Insert(std::move(atom))) {
-              ++added;
-              ++rule_stats[stratum[k]].derived;
-              if (slog != nullptr) {
-                slog->Record(db->size() - 1, stratum[k],
-                             support_buffers[k].data() + bi * stride, stride);
-              }
-            }
-            ++bi;
-          }
-        }
+      for (RuleEvaluator& ev : evaluators) {
+        added += ev.Evaluate(db, begin, delta_end, restrict, budget, slog);
       }
       ++pass.rounds;
       first_round = false;
@@ -273,9 +199,8 @@ Result<EvalPassStats> DatalogProgram::Rep::RunPass(Database* db,
     }
     for (size_t k = 0; k < evaluators.size(); ++k) {
       RuleStats taken = evaluators[k].TakeStats();
-      RuleStats& out = rule_stats[stratum[k]];
-      out.matches += taken.matches;
-      if (num_threads == 1) out.derived += taken.derived;
+      rule_stats[stratum[k]].matches += taken.matches;
+      rule_stats[stratum[k]].derived += taken.derived;
     }
   }
   if (!pass.complete && budget != nullptr) {
@@ -315,8 +240,6 @@ Result<DatalogProgram> DatalogProgram::Compile(Theory theory,
     }
     rep->strata.push_back(std::move(evaluators));
   }
-  rep->pool = std::make_unique<WorkerPool>(
-      std::max<size_t>(1, options.num_threads));
   return DatalogProgram(std::move(rep));
 }
 

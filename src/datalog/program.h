@@ -4,10 +4,10 @@
 // EvaluateDatalog (evaluator.h) is a thin wrapper that compiles a program
 // and materializes a single fixpoint. Long-lived callers — the serving
 // layer's PreparedKb in particular — keep the DatalogProgram alive and
-// reuse its compiled join plans and worker pool across many passes: full
-// materializations and, for negation-free programs, incremental
-// extensions that re-derive only the consequences of newly inserted
-// atoms (semi-naive evaluation seeded with the delta).
+// reuse its compiled join plans across many passes: full materializations
+// and, for negation-free programs, incremental extensions that re-derive
+// only the consequences of newly inserted atoms (semi-naive evaluation
+// seeded with the delta).
 #ifndef GEREL_DATALOG_PROGRAM_H_
 #define GEREL_DATALOG_PROGRAM_H_
 
@@ -53,8 +53,8 @@ class DatalogProgram {
 
   // Evaluates the program over *db in place to its least/perfect model;
   // derived atoms are appended. Populates acdom first when
-  // options.populate_acdom. Not thread-safe (the worker pool is internal
-  // to a pass).
+  // options.populate_acdom. Not thread-safe: a pass runs on the calling
+  // thread and mutates the evaluators' join scratch.
   Result<EvalPassStats> Materialize(Database* db);
 
   // Incrementally extends a fixpoint: *db must be a database previously

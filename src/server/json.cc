@@ -382,8 +382,12 @@ std::string JsonValue::Dump() const {
       std::snprintf(buf, sizeof(buf), "%.17g", number_);
       return buf;
     }
-    case Kind::kString:
-      return "\"" + JsonEscape(string_) + "\"";
+    case Kind::kString: {
+      std::string out = "\"";
+      out += JsonEscape(string_);
+      out += '"';
+      return out;
+    }
     case Kind::kArray: {
       std::string out = "[";
       for (size_t i = 0; i < items_.size(); ++i) {
@@ -397,8 +401,10 @@ std::string JsonValue::Dump() const {
       std::string out = "{";
       for (size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "\"" + JsonEscape(members_[i].first) +
-               "\": " + members_[i].second.Dump();
+        out += '"';
+        out += JsonEscape(members_[i].first);
+        out += "\": ";
+        out += members_[i].second.Dump();
       }
       out += "}";
       return out;

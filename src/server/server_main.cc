@@ -9,7 +9,9 @@
 // line per request. Tenants named with --kb are prepared (or warm-
 // started from --snapshot-dir) before the listener opens; clients can
 // create more at runtime with the "prepare" op. SIGTERM/SIGINT drain
-// in-flight requests, save dirty tenants, and exit 0.
+// in-flight requests, save dirty tenants, and exit 0. --threads sets the
+// saturation lanes of every tenant's prepare; the chase and the Datalog
+// evaluator always run on one thread.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -36,7 +38,9 @@ int Usage() {
       "                    [--threads=N] [--snapshot-dir=DIR]\n"
       "                    [--kb NAME=PROGRAM.gerel]... [--max-rules=N]\n"
       "                    [--timeout-ms=N] [--max-atoms=N]\n"
-      "                    [--max-tenants=N]\n");
+      "                    [--max-tenants=N]\n"
+      "--threads=N: saturation lanes per prepare (answers are identical "
+      "for any N)\n");
   return 64;
 }
 
@@ -80,9 +84,8 @@ int main(int argc, char** argv) {
       server_options.num_workers = static_cast<size_t>(v);
     } else if (const char* p = take_value("--threads=")) {
       if (!ParseSizeFlag(p, &v) || v == 0) return Usage();
-      config.kb_options.datalog.num_threads = static_cast<int>(v);
       config.kb_options.pipeline.saturation.num_threads =
-          static_cast<int>(v);
+          static_cast<size_t>(v);
     } else if (const char* p = take_value("--snapshot-dir=")) {
       config.snapshot_dir = p;
     } else if (const char* p = take_value("--max-rules=")) {

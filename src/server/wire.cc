@@ -200,7 +200,9 @@ std::string EncodeResponse(const DispatchOutcome& outcome, bool has_id,
       out += ", \"answers\": [";
       for (size_t i = 0; i < q.answers.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "\"" + JsonEscape(q.answers[i]) + "\"";
+        out += '"';
+        out += JsonEscape(q.answers[i]);
+        out += '"';
       }
       out += "], \"count\": " + std::to_string(q.answers.size());
       out += std::string(", \"complete\": ") +
@@ -247,8 +249,10 @@ std::string EncodeResponse(const DispatchOutcome& outcome, bool has_id,
         out += ", \"kbs\": {";
         for (size_t i = 0; i < st.per_kb.size(); ++i) {
           if (i > 0) out += ", ";
-          out += "\"" + JsonEscape(st.per_kb[i].first) +
-                 "\": " + st.per_kb[i].second.ToJson();
+          out += '"';
+          out += JsonEscape(st.per_kb[i].first);
+          out += "\": ";
+          out += st.per_kb[i].second.ToJson();
         }
         out += "}, \"total\": " + st.total.ToJson();
       } else {

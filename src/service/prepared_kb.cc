@@ -5,6 +5,7 @@
 #include <mutex>
 #include <utility>
 
+#include "analyze/analyze.h"
 #include "chase/chase.h"
 #include "core/join_plan.h"
 #include "core/normalize.h"
@@ -43,12 +44,12 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
   if (!c.weakly_frontier_guarded) {
     return Status::Error("knowledge base is not weakly frontier-guarded");
   }
-  // Optional pre-flight: advisory diagnostics over the *input* theory
+  // Pre-flight: advisory diagnostics over the *input* theory
   // (pre-normalization — spans and rule indices match what the user
-  // wrote, not the normal form).
-  if (options.preflight) {
-    kb->preflight_ = Analyze(theory, db, *symbols);
-  }
+  // wrote, not the normal form). They never fail the prepare (the wfg
+  // membership check above is what rejects theories); only their count
+  // is kept, in ServiceStats::diagnostics.
+  const size_t diagnostics = Analyze(theory, db, *symbols).diagnostics.size();
   kb->affected_ = AffectedPositions(kb->normal_);
   for (const Rule& r : kb->normal_.rules()) {
     if (!r.EVars().empty()) kb->theory_has_existentials_ = true;
@@ -69,13 +70,17 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
   // (the chase is negation-free), as do existential-free theories
   // (their least model already is the chase).
   bool chase_materialized = false;
+  // The certificate's kind name, for ServiceStats; empty when the planner
+  // did not analyze the theory.
+  std::string certificate_kind;
   if (options.planner && kb->theory_has_existentials_ &&
       !kb->normal_.HasNegation()) {
     TerminationOptions topts = options.termination;
     if (topts.budget == nullptr) topts.budget = kb->budget_.get();
-    kb->certificate_ = AnalyzeTermination(kb->normal_, *symbols, topts);
-    kb->planner_analyzed_ = true;
-    if (kb->certificate_.terminating()) {
+    TerminationCertificate certificate =
+        AnalyzeTermination(kb->normal_, *symbols, topts);
+    certificate_kind = CertificateKindName(certificate.kind);
+    if (certificate.terminating()) {
       kb->mode_ = Mode::kChaseMaterialized;
       kb->weakly_guarded_ = kb->normal_;
       kb->BuildDependencyIndex();
@@ -137,13 +142,10 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
     kb->stats_.prepare_materialize_wall_ms = MsSince(materialize_start);
     kb->stats_.model_atoms = kb->model_.size();
     kb->stats_.datalog_rules = kb->DatalogRulesLocked();
-    kb->stats_.diagnostics = kb->preflight_.diagnostics.size();
+    kb->stats_.diagnostics = diagnostics;
     kb->stats_.materialization_strategy =
         chase_materialized ? "chase" : "datalog";
-    if (kb->planner_analyzed_) {
-      kb->stats_.termination_certificate =
-          CertificateKindName(kb->certificate_.kind);
-    }
+    kb->stats_.termination_certificate = certificate_kind;
     DegradationReason reason = kb->DegradationLocked();
     if (reason.degraded()) {
       kb->stats_.degraded_prepares = 1;

@@ -60,7 +60,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "analyze/analyze.h"
+#include "analyze/termination.h"
 #include "core/budget.h"
 #include "core/classify.h"
 #include "core/database.h"
@@ -80,18 +80,14 @@ struct PreparedKbOptions {
   // Caps for the rewrite/grounding/saturation stages (shared with the
   // one-shot pipeline).
   KbQueryOptions pipeline;
-  // Evaluation options; num_threads > 1 parallelizes the Datalog
-  // materialization and delta rounds. Chase mode (Mode::kChaseMaterialized)
-  // runs its Skolem chase on one thread whatever num_threads says.
+  // Evaluation options for the materialization and delta passes, which
+  // run on the calling thread. pipeline.saturation.num_threads is the
+  // only parallel knob: it sets the saturation lanes of the guarded and
+  // weakly guarded routes. Chase mode (Mode::kChaseMaterialized) runs
+  // its Skolem chase on one thread.
   DatalogOptions datalog;
   // Maximum number of cached query answer sets; 0 disables the cache.
   size_t answer_cache_capacity = 1024;
-  // Run the static analyzers (analyze/analyze.h) over (Σ, D) during
-  // Prepare. Diagnostics never fail the prepare — they are advisory
-  // (the wfg membership check is what rejects theories) — but their
-  // count lands in ServiceStats::diagnostics and the full list is kept
-  // on the PreparedKb for callers that want to surface it.
-  bool preflight = true;
   // Resource budget applied to Prepare, to every Assert, and (by
   // default) to every Query. Exhaustion never fails the operation: the
   // pipeline degrades to a sound-but-possibly-incomplete model and the
@@ -210,7 +206,9 @@ class PreparedKb {
   //
   // Binary format: magic + version + payload size + payload + FNV-1a
   // checksum, where the payload serializes the symbol table, theories,
-  // mode, EDB, materialized model, and degradation certificate. Written
+  // mode, EDB, materialized model, degradation certificate, and the
+  // prepare-time analysis stats (termination certificate kind and
+  // diagnostics count, restored into stats() on load). Written
   // to `path` via temp file + atomic rename, so a crash mid-save leaves
   // any previous snapshot intact. The active fault plan (GEREL_FAULT /
   // SetFaultPlanForTest) can truncate or bit-flip the written image for
@@ -236,14 +234,6 @@ class PreparedKb {
   DegradationReason degradation() const;
 
   Mode mode() const { return mode_; }
-  // Pre-flight analysis of the input (Σ, D); empty when
-  // PreparedKbOptions::preflight was false. Immutable after Prepare.
-  const AnalysisResult& preflight() const { return preflight_; }
-  // The termination certificate the planner computed over the normalized
-  // theory (kind kExistentialFree when the planner never ran — it only
-  // analyzes negation-free theories with existentials). Immutable after
-  // Prepare; not persisted in snapshots.
-  const TerminationCertificate& certificate() const { return certificate_; }
   // Whether every prepare stage ran to completion (no cap hit); query
   // results degrade to complete=false otherwise.
   bool prepare_complete() const;
@@ -301,9 +291,6 @@ class PreparedKb {
   Theory weakly_guarded_;  // rew(normal_) (Thm 2), or normal_ itself.
   PositionSet affected_;   // ap(normal_), for the completeness check.
   Mode mode_ = Mode::kDatalog;
-  AnalysisResult preflight_;
-  TerminationCertificate certificate_;
-  bool planner_analyzed_ = false;
   bool rewrite_complete_ = true;
   bool theory_has_existentials_ = false;
   RelationId acdom_ = 0;

@@ -13,7 +13,9 @@
 // ids), the normalized and weakly guarded theories, the compiled Datalog
 // program's rule set (so LoadSnapshot skips rewrite/grounding/saturation
 // and only re-runs the cheap join-plan compilation), the EDB, the
-// materialized model, and the degradation certificate. Every read is
+// materialized model, the degradation certificate, and the prepare-time
+// analysis stats (termination certificate kind, pre-flight diagnostics
+// count), so a warm start reports what the cold prepare did. Every read is
 // bounds-checked; truncation, bit-flips, magic/version skew, and
 // fingerprint mismatches all surface as errors so callers can fall back
 // to a fresh Prepare.
@@ -23,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "analyze/termination.h"
 #include "core/classify.h"
 #include "core/database.h"
 #include "core/fault.h"
@@ -36,7 +39,10 @@ constexpr uint64_t kSnapshotMagic = 0x4752454C534E4150ull;  // "GRELSNAP"
 // v2: Mode::kChaseMaterialized joined the mode byte's range; chase-mode
 // images serialize an empty placeholder where the compiled program
 // theory would be (there is no compiled program to store).
-constexpr uint32_t kSnapshotVersion = 2;
+// v3: the termination certificate kind name (empty when the planner did
+// not analyze the theory) and the pre-flight diagnostics count follow
+// the degradation records.
+constexpr uint32_t kSnapshotVersion = 3;
 
 uint64_t Fnv1a(const uint8_t* data, size_t n) {
   uint64_t h = 14695981039346656037ull;
@@ -263,6 +269,18 @@ bool FitsSymbols(const Atom& a, const SymbolTable& symbols,
          std::all_of(a.annotation.begin(), a.annotation.end(), fits);
 }
 
+// Whether `name` is empty (the planner did not analyze the theory) or a
+// termination certificate kind name.
+bool IsCertificateKindName(const std::string& name) {
+  if (name.empty()) return true;
+  for (int k = 0; k <= static_cast<int>(CertificateKind::kInconclusive); ++k) {
+    if (name == CertificateKindName(static_cast<CertificateKind>(k))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool FitsSymbols(const Theory& theory, const SymbolTable& symbols) {
   for (const Rule& r : theory.rules()) {
     for (const Literal& l : r.body) {
@@ -292,6 +310,11 @@ Status PreparedKb::SaveSnapshot(const std::string& path) const {
     w.Degradation(rewrite_degradation_);
     w.Degradation(compile_degradation_);
     w.Degradation(materialize_degradation_);
+    {
+      std::lock_guard<std::mutex> slock(stats_mu_);
+      w.Str(stats_.termination_certificate);
+      w.U64(stats_.diagnostics);
+    }
     // Symbol table, in dense-id order so re-interning reproduces ids.
     w.U32(static_cast<uint32_t>(symbols_->NumRelations()));
     for (RelationId id = 0; id < symbols_->NumRelations(); ++id) {
@@ -419,6 +442,11 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
   DegradationReason rewrite_deg = r.Degradation();
   DegradationReason compile_deg = r.Degradation();
   DegradationReason materialize_deg = r.Degradation();
+  std::string certificate_kind = r.Str();
+  uint64_t diagnostics = r.U64();
+  if (!IsCertificateKindName(certificate_kind)) {
+    return CorruptError(path, "corrupt payload");
+  }
 
   // Re-intern names in dense-id order; `symbols` must be fresh so the
   // ids assigned here equal the ids baked into the serialized terms.
@@ -529,6 +557,8 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
     kb->stats_.datalog_rules = kb->DatalogRulesLocked();
     kb->stats_.materialization_strategy =
         kb->mode_ == Mode::kChaseMaterialized ? "chase" : "datalog";
+    kb->stats_.termination_certificate = std::move(certificate_kind);
+    kb->stats_.diagnostics = diagnostics;
     DegradationReason reason = kb->DegradationLocked();
     if (reason.degraded()) kb->stats_.last_degradation = reason;
   }

@@ -63,7 +63,7 @@ struct ServiceStats {
   // Prepare plus every chase-mode Assert/Retract rematerialization.
   uint64_t chase_materializations = 0;
   // Diagnostics reported by the Prepare pre-flight analysis (see
-  // analyze/analyze.h; 0 when the pre-flight is disabled).
+  // analyze/analyze.h).
   uint64_t diagnostics = 0;
   // Graceful-degradation counters: prepares/asserts whose pipeline hit a
   // budget or cap (the model is sound but possibly incomplete), and
@@ -85,8 +85,9 @@ struct ServiceStats {
   // Prepare-phase breakdown (cumulative across recompiles): classify =
   // normalize + classification + pre-flight analysis; transform = the §5–§7
   // pipeline (expansion, grounding, saturation, Datalog compilation);
-  // materialize = model materialization. Makes saturation and Datalog
-  // speedups (e.g. from num_threads) observable from `gerel serve stats`.
+  // materialize = model materialization. Makes the cost of each stage,
+  // and any saturation speedup from pipeline.saturation.num_threads,
+  // observable from `gerel serve stats`.
   double prepare_classify_wall_ms = 0.0;
   double prepare_transform_wall_ms = 0.0;
   double prepare_materialize_wall_ms = 0.0;

@@ -6,6 +6,8 @@
 #include <map>
 #include <utility>
 
+#include <unistd.h>
+
 #include "analyze/analyze.h"
 #include "analyze/render.h"
 #include "analyze/termination.h"
@@ -18,6 +20,7 @@
 #include "service/prepared_kb.h"
 #include "testing/shrink.h"
 #include "transform/pipeline.h"
+#include "transform/saturation.h"
 
 namespace gerel::testing {
 
@@ -58,6 +61,13 @@ AnswerSet CollectAnswers(const Database& db, RelationId output) {
     if (a.IsGroundOverConstants()) out.insert(a.args);
   }
   return out;
+}
+
+// Whether Prepare saturates on this route (dat(Σ) or dat(pg(Σ, D))), the
+// only routes that SaturationOptions::num_threads reaches.
+bool SaturatesOnPrepare(PreparedKb::Mode mode) {
+  return mode == PreparedKb::Mode::kGuarded ||
+         mode == PreparedKb::Mode::kWeaklyGuarded;
 }
 
 bool IsSubset(const AnswerSet& small, const AnswerSet& big) {
@@ -354,7 +364,8 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
     }
   }
 
-  // Lanes: PreparedKb — fresh, cached, N threads, incremental assert.
+  // Lanes: PreparedKb — fresh, cached, N saturation lanes, incremental
+  // assert.
   if (cls.weakly_frontier_guarded) {
     PreparedKbOptions po;
     po.pipeline = pipeline_opts;
@@ -391,10 +402,14 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
       }
     }
 
-    // Parallel lane: N-thread materialization answers the same.
-    if (have_fresh && options.num_threads > 1) {
+    // Lane: a KB whose prepare saturates (the guarded and weakly guarded
+    // routes) answers the same with N saturation lanes. The other routes
+    // never saturate, so they skip this prepare.
+    if (have_fresh && options.num_threads > 1 &&
+        SaturatesOnPrepare(kb.value()->mode())) {
       PreparedKbOptions pn = po;
-      pn.datalog.num_threads = options.num_threads;
+      pn.pipeline.saturation.num_threads =
+          static_cast<size_t>(options.num_threads);
       Result<std::unique_ptr<PreparedKb>> kbn =
           PreparedKb::Prepare(c.theory, c.database, symbols, pn);
       if (kbn.ok()) {
@@ -463,8 +478,8 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
     }
   }
 
-  // Lanes: naive vs. semi-naive vs. parallel Datalog (Datalog theories:
-  // the least model is the chase, so the oracle facts are ground truth).
+  // Lanes: naive vs. semi-naive Datalog (Datalog theories: the least
+  // model is the chase, so the oracle facts are ground truth).
   bool is_datalog = true;
   for (const Rule& r : c.theory.rules()) {
     if (!r.IsDatalog()) is_datalog = false;
@@ -473,17 +488,14 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
     struct EngineConfig {
       const char* lane;
       bool seminaive;
-      int threads;
     };
     const EngineConfig configs[] = {
-        {"datalog-naive", false, 1},
-        {"datalog-seminaive", true, 1},
-        {"datalog-parallel", true, options.num_threads},
+        {"datalog-naive", false},
+        {"datalog-seminaive", true},
     };
     for (const EngineConfig& cfg : configs) {
       DatalogOptions dopt;
       dopt.seminaive = cfg.seminaive;
-      dopt.num_threads = cfg.threads;
       Result<DatalogResult> r =
           EvaluateDatalog(c.theory, c.database, symbols, dopt);
       if (!r.ok()) continue;
@@ -559,48 +571,45 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
     }
   }
 
-  // Lane: worker-delay injection must never change a single byte of the
-  // 2-lane Datalog evaluation of the case's existential-free rules. The
-  // delay is 0µs (= thread yield): timed sleeps cost ~1ms of timer
-  // granularity per call on small hosts, while a yield perturbs lane
-  // interleaving nearly for free.
-  {
-    Theory datalog_rules;
-    for (const Rule& r : c.theory.rules()) {
-      if (r.IsDatalog()) datalog_rules.AddRule(r);
-    }
-    auto evaluate = [&](ExecutionBudget* budget) {
-      SymbolTable dsyms = *symbols;
-      DatalogOptions dopts;
-      dopts.num_threads = 2;
-      dopts.budget = budget;
-      Result<DatalogResult> r =
-          EvaluateDatalog(datalog_rules, c.database, &dsyms, dopts);
+  Classification cls = Classify(c.theory);
+  KbQueryOptions pipeline_opts;
+  pipeline_opts.saturation.max_rules = 400;
+  pipeline_opts.saturation.max_body_atoms = 6;
+  pipeline_opts.expansion.max_rules = 2000;
+  pipeline_opts.grounding.max_rules = 2000;
+
+  // Lane: worker-delay injection must never change a single byte of a
+  // 2-lane saturation of the case's theory (guarded, negation-free
+  // cases, under the KB lanes' saturation caps): the closure, dat(Σ),
+  // the inference count and the completeness flag. The delay is 0µs
+  // (= thread yield): timed sleeps cost ~1ms of timer granularity per
+  // call on small hosts, while a yield perturbs lane interleaving nearly
+  // for free.
+  if (cls.guarded && !c.theory.HasNegation()) {
+    auto saturate = [&](ExecutionBudget* budget) {
+      SymbolTable ssyms = *symbols;
+      SaturationOptions sopts = pipeline_opts.saturation;
+      sopts.num_threads = 2;
+      sopts.budget = budget;
+      Result<SaturationResult> r = Saturate(c.theory, &ssyms, sopts);
       if (!r.ok()) return std::string(r.status().message());
-      return ToString(r.value().database, dsyms) + "rounds " +
-             std::to_string(r.value().rounds) + " derived " +
-             std::to_string(r.value().derived_atoms) + " complete " +
+      return ToString(r.value().closure, ssyms) + "dat\n" +
+             ToString(r.value().datalog, ssyms) + "inferences " +
+             std::to_string(r.value().inferences) + " complete " +
              std::to_string(r.value().complete);
     };
     FaultPlan plan;
     plan.worker_delay_us = 0;
     plan.worker_delay_every = 7;
     ExecutionBudget budget(BudgetLimits{}, &plan);
-    if (evaluate(&budget) != evaluate(nullptr)) {
+    if (saturate(&budget) != saturate(nullptr)) {
       return fail("fault-worker-delay",
-                  "worker-delay injection changed the 2-lane Datalog "
-                  "evaluation");
+                  "worker-delay injection changed the 2-lane saturation");
     }
   }
 
   // The service lanes need a weakly frontier-guarded theory.
-  Classification cls = Classify(c.theory);
   if (!cls.weakly_frontier_guarded) return CaseVerdict::kOk;
-  KbQueryOptions pipeline_opts;
-  pipeline_opts.saturation.max_rules = 400;
-  pipeline_opts.saturation.max_body_atoms = 6;
-  pipeline_opts.expansion.max_rules = 2000;
-  pipeline_opts.grounding.max_rules = 2000;
   PreparedKbOptions po;
   po.pipeline = pipeline_opts;
 
@@ -613,7 +622,9 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
 
   // Lane: forced exhaustion during materialization. Answers must stay
   // sound (⊆ clean), carry complete=false plus a populated reason, and
-  // agree across thread counts (round-boundary trips are deterministic).
+  // agree across saturation lane counts (round-boundary trips are
+  // deterministic). Routes that never saturate run the 1-lane prepare
+  // only.
   {
     FaultPlan plan;
     plan.exhaust_stage = GovernedStage::kDatalog;
@@ -622,8 +633,9 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
     AnswerSet first_ans;
     bool have_first = false;
     for (int threads : {1, options.num_threads}) {
+      if (threads > 1 && !SaturatesOnPrepare(kb.value()->mode())) break;
       PreparedKbOptions pf = po;
-      pf.datalog.num_threads = threads;
+      pf.pipeline.saturation.num_threads = static_cast<size_t>(threads);
       Result<std::unique_ptr<PreparedKb>> kbf =
           PreparedKb::Prepare(c.theory, c.database, symbols, pf);
       if (!kbf.ok()) {
@@ -657,16 +669,18 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
       } else if (qf.value().answers != first_ans) {
         SetFaultPlanForTest(nullptr);
         return fail("fault-prepared-determinism",
-                    "degraded prepare diverged across thread counts");
+                    "degraded prepare diverged across saturation lanes");
       }
     }
     SetFaultPlanForTest(nullptr);
   }
 
-  // Snapshot lanes need a writable scratch path.
+  // Snapshot lanes need a writable scratch path, private to this process:
+  // two runs with the same seed must not overwrite each other's image.
   const char* tmpdir = std::getenv("TMPDIR");
   std::string path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
-                     "/gerel-frec-" + std::to_string(c.seed) + ".snap";
+                     "/gerel-frec-" + std::to_string(getpid()) + "-" +
+                     std::to_string(c.seed) + ".snap";
 
   // Lane: clean snapshot round trip — identical answers and model size.
   {
@@ -780,7 +794,8 @@ CaseVerdict CheckCrudCase(const GeneratedCase& c, SymbolTable* symbols,
   pipeline_opts.grounding.max_rules = 2000;
   PreparedKbOptions po;
   po.pipeline = pipeline_opts;
-  po.datalog.num_threads = options.num_threads;
+  po.pipeline.saturation.num_threads =
+      static_cast<size_t>(options.num_threads);
 
   bool is_datalog = true;
   for (const Rule& r : c.theory.rules()) {

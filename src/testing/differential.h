@@ -6,8 +6,8 @@
 //   lanes    oracle vs. production chase (ground facts and CQ answers),
 //            the §7 pipeline (dat(pg(rew(Σ), D))), the nearly
 //            frontier-guarded route (Prop 4 + Prop 6), PreparedKb
-//            (fresh, incremental assert, answer cache, N threads), and
-//            naive vs. semi-naive vs. parallel Datalog;
+//            (fresh, incremental assert, answer cache, N saturation
+//            lanes), and naive vs. semi-naive Datalog;
 //   invariants
 //            fact-order permutation, bijective constant renaming, rule
 //            duplication, and assert-order independence.
@@ -54,8 +54,10 @@ bool ParseFault(std::string_view tag, Fault* out);
 struct DiffOptions {
   GenOptions gen;
   OracleOptions oracle;
-  // Thread count for the parallel lanes (PreparedKb materialization and
-  // the parallel Datalog engine). Does not affect verdicts.
+  // Saturation lanes (SaturationOptions::num_threads) for the PreparedKb
+  // checks that compare lane counts and for every crud-lane prepare. The
+  // chase and the Datalog evaluator always run on one thread. Does not
+  // affect verdicts.
   int num_threads = 2;
   Fault fault = Fault::kNone;
   // Shrink failing cases before reporting.
@@ -120,10 +122,12 @@ DiffReport RunDifferential(unsigned seed, size_t iters,
 //   - a chase forced to exhaust its budget (seeded FaultPlan) yields a
 //     subset of the clean chase's facts and reports a kFault
 //     DegradationReason;
-//   - worker-delay injection never changes any byte of the 2-lane
-//     Datalog evaluation of the case's existential-free rules;
+//   - worker-delay injection never changes any byte of a 2-lane
+//     saturation of a guarded, negation-free case (closure, dat(Σ),
+//     inference count, completeness flag);
 //   - a PreparedKb forced to exhaust during materialization serves
-//     sound answers (⊆ clean) with complete=false across thread counts;
+//     sound answers (⊆ clean) with complete=false, the same at 1 and N
+//     saturation lanes when its route saturates;
 //   - a clean snapshot save/load round-trips to identical answers, and
 //     seeded truncation/bit-flip corruption is always detected at load,
 //     with recovery-by-re-Prepare matching the clean run.
@@ -144,7 +148,7 @@ DiffReport RunFaultRecovery(unsigned seed, size_t iters,
 // fallbacks, and dependency-aware cache invalidation (a stale cached
 // answer served after a covering write diverges from the fresh KB).
 // The transcript is a pure function of (seed, iters, classes, gen
-// options) — thread counts never affect it.
+// options) — saturation lane counts never affect it.
 DiffReport RunCrud(unsigned seed, size_t iters,
                    const std::vector<GenClass>& classes,
                    const DiffOptions& options = DiffOptions());

@@ -216,7 +216,7 @@ Rule CaseGenerator::GenerateRule(GenClass cls, int rule_index) {
     head_pool = fg.ArgVars();
     if (head_pool.empty()) head_pool = used;
   }
-  Term evar = symbols_->Variable("E" + std::to_string(rule_index));
+  Term evar = symbols_->Variable(IndexedName("E", rule_index));
   std::vector<Term> head_args;
   size_t epos = rng_() % std::max(1, head_rel->arity);
   for (int i = 0; i < head_rel->arity; ++i) {
@@ -271,9 +271,10 @@ Rule CaseGenerator::GenerateExtendedRule(GenClass cls, int rule_index) {
     for (int i = 0; i < atoms; ++i) {
       std::vector<Term> pool;
       for (int j = 0; j < 2; ++j) {
-        pool.push_back(symbols_->Variable(
-            "X" + std::to_string(rule_index) + "_" + std::to_string(i) +
-            "_" + std::to_string(j)));
+        std::string name = IndexedName("X", rule_index);
+        name += IndexedName("_", i);
+        name += IndexedName("_", j);
+        pool.push_back(symbols_->Variable(name));
       }
       body.push_back(RandomAtom(relations_[rng_() % relations_.size()], pool));
     }
@@ -344,7 +345,7 @@ Rule CaseGenerator::GenerateExtendedRule(GenClass cls, int rule_index) {
     head_rel = &relations_[rng_() % relations_.size()];
   }
 
-  Term evar = symbols_->Variable("E" + std::to_string(rule_index));
+  Term evar = symbols_->Variable(IndexedName("E", rule_index));
   std::vector<Term> head_args;
   if (cls == GenClass::kDomainRestricted) {
     // Each head atom uses all body variables or none of them. "All"
@@ -485,7 +486,7 @@ Rule CaseGenerator::GenerateQuery() {
   int atoms = 1 + static_cast<int>(rng_() % 2);
   std::vector<Term> qvars;
   for (int i = 0; i < 3; ++i) {
-    qvars.push_back(symbols_->Variable("Q" + std::to_string(i)));
+    qvars.push_back(symbols_->Variable(IndexedName("Q", i)));
   }
   Rule cq;
   std::vector<Term> used;
@@ -523,7 +524,7 @@ Rule CaseGenerator::GenerateQuery() {
     head_args[0] = symbols_->Variable("F0");
   }
   std::string prefix =
-      case_index_ == 0 ? "" : "c" + std::to_string(case_index_) + "_";
+      case_index_ == 0 ? "" : IndexedName("c", case_index_) + "_";
   RelationId q = symbols_->Relation(prefix + "q", head_arity);
   cq.head.push_back(Atom(q, std::move(head_args)));
   return cq;
@@ -545,7 +546,7 @@ Database CaseGenerator::GenerateDatabase() {
 
 GeneratedCase CaseGenerator::Next(GenClass cls) {
   std::string prefix =
-      case_index_ == 0 ? "" : "c" + std::to_string(case_index_) + "_";
+      case_index_ == 0 ? "" : IndexedName("c", case_index_) + "_";
   relations_.clear();
   for (int i = 0; i < options_.num_relations; ++i) {
     RelInfo rel;
@@ -563,7 +564,7 @@ GeneratedCase CaseGenerator::Next(GenClass cls) {
            options_.num_vars, 0};
   vars_.clear();
   for (int i = 0; i < options_.num_vars; ++i) {
-    vars_.push_back(symbols_->Variable("X" + std::to_string(i)));
+    vars_.push_back(symbols_->Variable(IndexedName("X", i)));
   }
   constants_.clear();
   for (int i = 0; i < options_.num_constants; ++i) {

@@ -37,13 +37,13 @@ class RandomTheoryGen {
     for (int i = 0; i < p.num_relations; ++i) {
       int arity = 1 + static_cast<int>(rng_() % p.max_arity);
       relations_.push_back(
-          {symbols_->Relation("p" + std::to_string(i), arity), arity});
+          {symbols_->Relation(IndexedName("p", i), arity), arity});
     }
     // A wide relation able to guard any rule of this generator.
     wide_ = {symbols_->Relation("wide", p.num_vars), p.num_vars};
     vars_.clear();
     for (int i = 0; i < p.num_vars; ++i) {
-      vars_.push_back(symbols_->Variable("R" + std::to_string(i)));
+      vars_.push_back(symbols_->Variable(IndexedName("R", i)));
     }
     Theory out;
     for (int i = 0; i < p.num_rules; ++i) out.AddRule(Rule_(p));
@@ -54,7 +54,7 @@ class RandomTheoryGen {
   Database Database_(int num_atoms, int num_constants) {
     std::vector<Term> constants;
     for (int i = 0; i < num_constants; ++i) {
-      constants.push_back(symbols_->Constant("k" + std::to_string(i)));
+      constants.push_back(symbols_->Constant(IndexedName("k", i)));
     }
     Database db;
     for (int i = 0; i < num_atoms; ++i) {

@@ -50,7 +50,8 @@ std::string RenderAtom(const Atom& atom, const SymbolTable& symbols,
         continue;
       }
       auto it = rank.find(t);
-      out += it != rank.end() ? "?" + std::to_string(it->second) : "?";
+      out += '?';
+      if (it != rank.end()) out += std::to_string(it->second);
     }
     out += close;
   };
@@ -181,7 +182,7 @@ Rule CanonicalizeVariables(const Rule& rule, SymbolTable* symbols) {
   CanonicalForm form = Canonicalize({rule}, *symbols, nullptr);
   Substitution rename;
   for (const auto& [var, index] : form.naming) {
-    rename.Bind(var, symbols->Variable("V" + std::to_string(index)));
+    rename.Bind(var, symbols->Variable(IndexedName("V", index)));
   }
   return rename.Apply(rule);
 }

@@ -10,10 +10,10 @@
 
 #include "core/check.h"
 #include "core/classify.h"
-#include "core/parallel.h"
 #include "core/substitution.h"
 #include "core/printer.h"
 #include "transform/canonical.h"
+#include "transform/parallel.h"
 #include <cstdlib>
 #include <cstdio>
 

@@ -240,7 +240,7 @@ TEST(AnalyzeTest, Gr021RuleIsNeverItsOwnSubsumer) {
 TEST(AnalyzeTest, Gr021CapEmitsANote) {
   std::string text;
   for (int i = 0; i < 4; ++i) {
-    text += "p" + std::to_string(i) + "(X) -> q(X).\n";
+    text += IndexedName("p", i) + "(X) -> q(X).\n";
   }
   SymbolTable syms;
   Result<Program> p = ParseProgram(text, &syms);

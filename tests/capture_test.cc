@@ -320,7 +320,7 @@ TEST(OrderProgramTest, Theorem5DomainParityQuery) {
     Database db;
     RelationId d = syms.Relation("dom", 1);
     for (int i = 0; i < n; ++i) {
-      db.Insert(Atom(d, {syms.Constant("c" + std::to_string(i))}));
+      db.Insert(Atom(d, {syms.Constant(IndexedName("c", i))}));
     }
     Result<StratifiedChaseResult> result =
         RunOrderProgram(prog, parity.value(), db, &syms);

@@ -131,7 +131,7 @@ TEST(DatabaseTest, HighArityPositionIndexDoesNotAliasRelations) {
   // the old packing, (wide, pos=256, t) collided with (wide ^ 1, 0, t).
   RelationId wide = syms.Relation("wide0", 257);
   for (int i = 1; wide % 2 != 0; ++i) {
-    wide = syms.Relation("wide" + std::to_string(i), 257);
+    wide = syms.Relation(IndexedName("wide", i), 257);
   }
   RelationId unary = syms.Relation("unary", 1);
   ASSERT_EQ(unary, wide ^ 1u);
@@ -158,7 +158,7 @@ TEST(DatabaseTest, DeferredIndexingMatchesEagerIndexing) {
   RelationId r = syms.Relation("r", 2);
   std::vector<Term> consts;
   for (int i = 0; i < 40; ++i) {
-    consts.push_back(syms.Constant("c" + std::to_string(i)));
+    consts.push_back(syms.Constant(IndexedName("c", i)));
   }
   Database eager;
   Database deferred;
@@ -188,7 +188,7 @@ TEST(DatabaseTest, CopyIsDeepAndMoveKeepsEverything) {
   RelationId s = syms.Relation("s", 1);
   std::vector<Term> consts;
   for (int i = 0; i < 40; ++i) {
-    consts.push_back(syms.Constant("c" + std::to_string(i)));
+    consts.push_back(syms.Constant(IndexedName("c", i)));
   }
   // 1,200 r-atoms plus 40 s-atoms: more than two 512-atom segments, the
   // last one partly filled.

@@ -134,8 +134,8 @@ TEST(DatalogEdgeTest, MaxRoundsSafetyValve) {
   Database db;
   RelationId e = syms.Relation("e");
   for (int i = 0; i < 30; ++i) {
-    db.Insert(Atom(e, {syms.Constant("n" + std::to_string(i)),
-                       syms.Constant("n" + std::to_string(i + 1))}));
+    db.Insert(Atom(e, {syms.Constant(IndexedName("n", i)),
+                       syms.Constant(IndexedName("n", i + 1))}));
   }
   DatalogOptions opts;
   opts.max_rounds = 2;

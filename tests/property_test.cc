@@ -413,7 +413,9 @@ TEST_P(PropertyTest, AcyclicityImplications) {
   Theory t = gen.Theory_(params);
   bool wa = IsWeaklyAcyclic(t);
   bool ja = IsJointlyAcyclic(t);
-  if (wa) EXPECT_TRUE(ja) << "weakly acyclic but not jointly acyclic";
+  if (wa) {
+    EXPECT_TRUE(ja) << "weakly acyclic but not jointly acyclic";
+  }
   Database db = gen.Database_(5, 3);
   ChaseOptions opts;
   opts.max_steps = 200000;

@@ -612,8 +612,7 @@ TEST(SocketServerTest, MixedReadWriteHammer) {
         return;
       }
       for (int i = 0; i < kRounds; ++i) {
-        std::string tag =
-            "h" + std::to_string(c) + "_" + std::to_string(i);
+        std::string tag = IndexedName(IndexedName("h", c) + "_", i);
         auto asserted = client.Call(AssertFrame(
             kb, on_tc ? "e(" + tag + "a, " + tag + "b)"
                       : kWgEdges[i % 3]));

@@ -36,8 +36,8 @@ TEST(ServiceConcurrencyTest, ConcurrentQueriesAndAsserts) {
   // not thread-safe, so no parsing or interning happens once they start.
   std::vector<Atom> facts;
   for (int i = 2; i < 2 + kAsserts; ++i) {
-    Term from = syms.Constant("n" + std::to_string(i));
-    Term to = syms.Constant("n" + std::to_string(i + 1));
+    Term from = syms.Constant(IndexedName("n", i));
+    Term to = syms.Constant(IndexedName("n", i + 1));
     facts.push_back(Atom(syms.Relation("e", 2), {from, to}));
   }
   Rule cq = ParseRule("t(U, V) -> q(U, V)", &syms).value();
@@ -94,37 +94,6 @@ TEST(ServiceConcurrencyTest, ConcurrentQueriesAndAsserts) {
   EXPECT_EQ(stats.asserts, static_cast<uint64_t>(kAsserts));
   EXPECT_GE(stats.queries,
             static_cast<uint64_t>(kReaders * kQueriesPerReader));
-}
-
-TEST(ServiceConcurrencyTest, ParallelEvaluationInsidePreparedKb) {
-  SymbolTable syms;
-  Theory theory = ParseTheory(R"(
-    e(X, Y) -> t(X, Y).
-    e(X, Y), t(Y, Z) -> t(X, Z).
-  )",
-                              &syms)
-                      .value();
-  Database db;
-  RelationId e = syms.Relation("e", 2);
-  std::vector<Term> nodes;
-  for (int i = 0; i <= 60; ++i) {
-    nodes.push_back(syms.Constant("m" + std::to_string(i)));
-  }
-  for (int i = 0; i < 60; ++i) {
-    db.Insert(Atom(e, {nodes[i], nodes[i + 1]}));
-  }
-  PreparedKbOptions options;
-  options.datalog.num_threads = 4;
-  auto kb = PreparedKb::Prepare(theory, db, &syms, options);
-  ASSERT_TRUE(kb.ok()) << kb.status().message();
-  Rule cq = ParseRule("t(U, V) -> q(U, V)", &syms).value();
-  EXPECT_EQ(kb.value()->Query(cq).value().answers.size(),
-            60u * 61u / 2u);
-  // Incremental extension reuses the same worker pool.
-  Term extra = nodes[0];
-  ASSERT_TRUE(
-      kb.value()->Assert({Atom(e, {nodes[60], extra})}).ok());
-  EXPECT_EQ(kb.value()->Query(cq).value().answers.size(), 61u * 61u);
 }
 
 }  // namespace

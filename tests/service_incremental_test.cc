@@ -30,7 +30,7 @@ std::vector<Rule> RelationQueries(const Theory& theory, SymbolTable* syms) {
       seen[a.pred] = true;
       std::vector<Term> args;
       for (int i = 0; i < syms->RelationArity(a.pred); ++i) {
-        args.push_back(syms->Variable("Q" + std::to_string(i)));
+        args.push_back(syms->Variable(IndexedName("Q", i)));
       }
       RelationId out =
           syms->Relation("out_" + syms->RelationName(a.pred),

@@ -72,6 +72,34 @@ TEST_F(SnapshotTest, RoundTripPreservesModelAndAnswers) {
   EXPECT_EQ(loaded.value()->stats().snapshot_loads, 1u);
 }
 
+TEST_F(SnapshotTest, WarmStartKeepsTheAnalysisStats) {
+  // A certified program with a pre-flight finding (orphan/1 is never
+  // populated): the planner's certificate and the diagnostics count
+  // belong to the program, so a warm start must report the cold ones.
+  SymbolTable syms;
+  Theory t = ParseTheory(std::string(kWgTheory) + "orphan(X) -> node(X).\n",
+                         &syms)
+                 .value();
+  Database db = ParseDatabase("gen(a). e(a, b). e(b, c).", &syms).value();
+  Result<std::unique_ptr<PreparedKb>> kb = PreparedKb::Prepare(t, db, &syms);
+  ASSERT_TRUE(kb.ok()) << kb.status().message();
+  ServiceStats cold = kb.value()->stats();
+  ASSERT_EQ(cold.termination_certificate, "weakly-acyclic");
+  ASSERT_GT(cold.diagnostics, 0u);
+  ASSERT_TRUE(kb.value()->SaveSnapshot(path_).ok());
+
+  SymbolTable loaded_syms;
+  Result<std::unique_ptr<PreparedKb>> loaded =
+      PreparedKb::LoadSnapshot(path_, &loaded_syms);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ServiceStats warm = loaded.value()->stats();
+  EXPECT_EQ(warm.termination_certificate, cold.termination_certificate);
+  EXPECT_EQ(warm.diagnostics, cold.diagnostics);
+  EXPECT_EQ(warm.materialization_strategy, cold.materialization_strategy);
+  EXPECT_EQ(warm.model_atoms, cold.model_atoms);
+  EXPECT_EQ(warm.datalog_rules, cold.datalog_rules);
+}
+
 TEST_F(SnapshotTest, LoadedKbAcceptsAsserts) {
   SymbolTable syms;
   auto kb = PrepareWg(&syms);
@@ -335,6 +363,19 @@ TEST_F(MalformedSnapshotTest, RejectsRepeatedSymbolNames) {
               std::string::npos)
         << loaded.status().message();
   }
+}
+
+TEST_F(MalformedSnapshotTest, RejectsUnknownCertificateKind) {
+  const std::string name = "weakly-acyclic";
+  std::string bad = image_;
+  size_t at = bad.find(name, kHeaderBytes);
+  ASSERT_NE(at, std::string::npos);
+  bad[at + name.size() - 1] = 'x';
+  Result<std::unique_ptr<PreparedKb>> loaded = LoadResealed(bad);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("corrupt payload"),
+            std::string::npos)
+      << loaded.status().message();
 }
 
 TEST_F(SnapshotTest, MissingFileIsAnError) {

@@ -12,6 +12,13 @@ Usage:
   tools/bench_diff.py BASELINE_DIR CURRENT_DIR [--threshold 0.15]
                       [--min-ms 0.5]
 
+Every dump must carry a "provenance" object (nproc, build_type,
+compiler, git_sha; see bench/provenance.h). A pair of dumps is only
+comparable when both sides were measured on a host with the same nproc
+by a build of the same build type and compiler: a wall time from a
+1-core container says nothing about a 4-core host. The git sha is
+recorded but may differ (comparing commits is the point).
+
 Matching is by (binary, benchmark name). Benchmarks present only in the
 baseline are reported as missing (a warning, not a failure: binaries and
 cases come and go); benchmarks present only in the current run are new
@@ -19,8 +26,9 @@ and ignored. Runs faster than --min-ms in the baseline are skipped —
 sub-noise-floor timings regress by 15% from scheduler jitter alone.
 
 Exit codes: 0 no regressions, 1 regressions over threshold, 2 unusable
-input (missing directory, no BENCH_*.json files, unparsable JSON, or a
-dump without the expected fields) — so CI can tell "perf got worse"
+input (missing directory, no BENCH_*.json files, unparsable JSON, a
+dump without the expected fields or without provenance, or a pair whose
+nproc, build type or compiler differ) — so CI can tell "perf got worse"
 from "the harness never produced comparable numbers".
 """
 
@@ -32,6 +40,9 @@ import sys
 EXIT_REGRESSION = 1
 EXIT_BAD_INPUT = 2
 
+# Provenance fields that must agree for two dumps to be comparable.
+HOST_FIELDS = ("nproc", "build_type", "compiler")
+
 
 def fail_input(message):
     """Input errors are diagnosed on stderr and exit 2, never a traceback."""
@@ -40,8 +51,10 @@ def fail_input(message):
 
 
 def load_dir(path):
-    """Returns {(binary, name): wall_ms} over every BENCH_*.json in path."""
+    """Returns ({(binary, name): wall_ms}, {binary: provenance}) over every
+    BENCH_*.json in path."""
     out = {}
+    provenance = {}
     root = pathlib.Path(path)
     if not root.exists():
         fail_input(f"directory {path} does not exist")
@@ -60,6 +73,12 @@ def load_dir(path):
         if not isinstance(doc, dict):
             fail_input(f"{f}: expected a JSON object at top level")
         binary = doc.get("binary", f.stem)
+        prov = doc.get("provenance")
+        if not isinstance(prov, dict) or any(k not in prov
+                                             for k in HOST_FIELDS):
+            fail_input(f"{f}: no provenance ({', '.join(HOST_FIELDS)}); "
+                       f"re-record it with a current bench build")
+        provenance[binary] = prov
         benchmarks = doc.get("benchmarks", [])
         if not isinstance(benchmarks, list):
             fail_input(f"{f}: \"benchmarks\" must be a list")
@@ -74,7 +93,22 @@ def load_dir(path):
                 fail_input(f"{f}: benchmark {run['name']!r} has non-numeric "
                            f"wall_ms {run['wall_ms']!r}")
             out[(binary, run["name"])] = wall_ms
-    return out
+    return out, provenance
+
+
+def check_comparable(base_prov, cur_prov):
+    """Exits 2 when a binary present on both sides was measured on another
+    kind of host or build."""
+    mismatches = []
+    for binary in sorted(set(base_prov) & set(cur_prov)):
+        for field in HOST_FIELDS:
+            if base_prov[binary][field] != cur_prov[binary][field]:
+                mismatches.append(f"{binary}: {field} "
+                                  f"{base_prov[binary][field]!r} (baseline) "
+                                  f"vs {cur_prov[binary][field]!r} (current)")
+    if mismatches:
+        fail_input("dumps are not comparable across hosts or builds:\n  " +
+                   "\n  ".join(mismatches))
 
 
 def main():
@@ -88,8 +122,9 @@ def main():
                          "noise floor in milliseconds")
     args = ap.parse_args()
 
-    base = load_dir(args.baseline)
-    cur = load_dir(args.current)
+    base, base_prov = load_dir(args.baseline)
+    cur, cur_prov = load_dir(args.current)
+    check_comparable(base_prov, cur_prov)
 
     regressions = []
     improved = 0

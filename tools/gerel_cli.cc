@@ -26,9 +26,9 @@
 //   --max-steps=N --max-atoms=N --max-depth=N
 // Translation/serving options:
 //   --max-rules=N (cap the rewrite/grounding/saturation stages)
-//   --threads=N   (worker lanes for saturation and Datalog evaluation;
-//                  answers are identical for any value; the chase always
-//                  runs on one thread)
+//   --threads=N   (worker lanes for saturation; output is identical for
+//                  any value; the chase and Datalog evaluation always
+//                  run on one thread)
 //
 // Resource governance (chase/answer/serve):
 //   --timeout-ms=N (wall-clock budget; exhaustion degrades to sound
@@ -433,7 +433,6 @@ int Answer(const ParsedArgs& args) {
                                          : rew.value().degradation;
     }
     DatalogOptions dopts;
-    dopts.num_threads = args.threads;
     dopts.budget = budget_ptr;
     auto eval = EvaluateDatalog(dat.value().datalog,
                                 program.value().database, &syms, dopts);
@@ -515,7 +514,6 @@ int Serve(const ParsedArgs& args) {
     options.pipeline.saturation.max_rules = args.max_rules;
     options.pipeline.grounding.max_rules = args.max_rules;
   }
-  options.datalog.num_threads = args.threads;
   options.pipeline.saturation.num_threads = args.threads;
   options.budget = CliBudget(args);
   SymbolTable syms;
@@ -713,11 +711,12 @@ int Usage() {
                "                   lin|f1|jl|dr|shy|all]\n"
                "                  [--lane conformance|fault-recovery|crud|"
                "termination]\n"
-               "                  [--shrink] [--threads N]\n"
+               "                  [--shrink] [--threads N (saturation lanes "
+               "of the KB checks)]\n"
                "                  [--fault F] [--log-cases]\n"
                "       gerel dot preds|positions|tree <program>\n"
                "flags: --max-steps=N --max-atoms=N --max-depth=N "
-               "--max-rules=N --threads=N\n"
+               "--max-rules=N --threads=N (saturation lanes)\n"
                "       --timeout-ms=N (degrade to sound partial results "
                "on budget exhaustion)\n");
   return 64;

@@ -17,10 +17,10 @@
 //
 // Results land in BENCH_server_throughput.json in the current
 // directory, in the same shape every bench binary dumps
-// (bench/bench_util.h), so tools/bench_diff.py tracks server throughput
-// alongside the paper experiments. The mixed-load entry's wall_ms is
-// the mean per-request latency; requests_per_s, p50_ms, and p99_ms ride
-// along as counters.
+// (bench/bench_util.h, provenance included), so tools/bench_diff.py
+// tracks server throughput alongside the paper experiments. The
+// mixed-load entry's wall_ms is the mean per-request latency;
+// requests_per_s, p50_ms, and p99_ms ride along as counters.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "server/dispatch.h"
 #include "server/json.h"
 #include "server/registry.h"
@@ -172,8 +173,9 @@ void WriteBenchJson(const std::vector<BenchEntry>& entries) {
     return;
   }
   std::fprintf(f,
-               "{\n  \"binary\": \"server_throughput\",\n"
-               "  \"benchmarks\": [\n");
+               "{\n  \"binary\": \"server_throughput\",\n  %s,\n"
+               "  \"benchmarks\": [\n",
+               gerel::bench::ProvenanceJsonMember().c_str());
   for (size_t i = 0; i < entries.size(); ++i) {
     const BenchEntry& e = entries[i];
     std::fprintf(f,
