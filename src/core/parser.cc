@@ -317,8 +317,8 @@ class Parser {
       atom.args = std::move(ts).value();
     }
     // Arity consistency is a parse error, not a crash.
-    if (symbols_->HasRelation(name)) {
-      RelationId existing = symbols_->Relation(name);
+    if (RelationId existing = symbols_->FindRelation(name);
+        existing != kUnknownRelation) {
       int recorded = symbols_->RelationArity(existing);
       if (recorded >= 0 && recorded != static_cast<int>(atom.arity())) {
         return LocatedError(

@@ -46,10 +46,6 @@ void SymbolTable::SetRelationArity(RelationId id, int arity) {
   }
 }
 
-bool SymbolTable::HasRelation(std::string_view name) const {
-  return relation_ids_.count(std::string(name)) > 0;
-}
-
 RelationId SymbolTable::FreshRelation(std::string_view base, int arity) {
   std::string candidate;
   do {
@@ -114,6 +110,29 @@ std::string SymbolTable::TermName(Term t) const {
       return "_n" + std::to_string(t.id());
   }
   GEREL_CHECK(false);
+  return "";
+}
+
+RelationId SymbolTable::FindRelation(const std::string& name) const {
+  auto it = relation_ids_.find(name);
+  return it == relation_ids_.end() ? kUnknownRelation : it->second;
+}
+
+Term SymbolTable::FindConstant(const std::string& name) const {
+  auto it = constant_ids_.find(name);
+  return it == constant_ids_.end() ? kUnknownConstant
+                                   : Term::Constant(it->second);
+}
+
+Term SymbolTable::FindNamedNull(const std::string& name) const {
+  auto it = named_nulls_.find(name);
+  return it == named_nulls_.end() ? kUnknownNull : Term::Null(it->second);
+}
+
+std::string SymbolTable::NamedNullName(Term t) const {
+  for (const auto& [name, id] : named_nulls_) {
+    if (id == t.id()) return name;
+  }
   return "";
 }
 

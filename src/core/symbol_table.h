@@ -36,8 +36,6 @@ class SymbolTable {
   // recorded.
   int RelationArity(RelationId id) const;
   void SetRelationArity(RelationId id, int arity);
-  // Whether `name` has been interned already.
-  bool HasRelation(std::string_view name) const;
   size_t NumRelations() const { return relation_names_.size(); }
   // Fresh relation derived from `base`, guaranteed unique ("base#k").
   RelationId FreshRelation(std::string_view base, int arity);
@@ -73,6 +71,16 @@ class SymbolTable {
   // Human-readable rendering of any ground or non-ground term.
   std::string TermName(Term t) const;
 
+  // --- Find-only lookups (never intern) ----------------------------------
+
+  // A name the table lacks maps to the kUnknown* stand-in of its kind.
+  RelationId FindRelation(const std::string& name) const;
+  Term FindConstant(const std::string& name) const;
+  Term FindNamedNull(const std::string& name) const;
+  // The name a NamedNull call interned null `t` under; empty for FreshNull
+  // nulls. Linear in the named nulls: meant for a query's own small table.
+  std::string NamedNullName(Term t) const;
+
  private:
   std::unordered_map<std::string, RelationId> relation_ids_;
   std::vector<std::string> relation_names_;
@@ -88,6 +96,12 @@ class SymbolTable {
   uint32_t next_null_ = 0;
   uint32_t fresh_counter_ = 0;
 };
+
+// Stand-ins for unknown names: the largest id of their kind, which a
+// table would only issue after 2^30 - 1 names, so no atom holds them.
+inline constexpr RelationId kUnknownRelation = ~RelationId{0};
+inline const Term kUnknownConstant = Term::Constant((1u << 30) - 1);
+inline const Term kUnknownNull = Term::Null((1u << 30) - 1);
 
 // `prefix` followed by the decimal `index` ("k3"): how generators and
 // translations name the constants, variables and relations they mint.

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <mutex>
-#include <shared_mutex>
 #include <sstream>
 
 #include "core/parser.h"
@@ -10,8 +9,6 @@
 
 namespace gerel {
 namespace server {
-
-namespace {
 
 std::string_view Trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
@@ -25,14 +22,65 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-const char* ModeName(PreparedKb::Mode mode) {
-  switch (mode) {
-    case PreparedKb::Mode::kDatalog: return "datalog";
-    case PreparedKb::Mode::kGuarded: return "guarded";
-    case PreparedKb::Mode::kWeaklyGuarded: return "weakly guarded";
-    case PreparedKb::Mode::kChaseMaterialized: return "chase";
+namespace {
+
+DispatchOutcome UnknownKb(Op op, const std::string& name) {
+  return DispatchOutcome::Error(op, name, kErrUnknownKb,
+                                "unknown kb \"" + name + "\"");
+}
+
+// Copies the tenant's replication cursor into `out`; the caller holds
+// the tenant lock.
+void SetCursor(const Tenant& tenant, DispatchOutcome* out) {
+  out->has_cursor = true;
+  out->seq = tenant.seq;
+  out->epoch = tenant.epoch;
+}
+
+// Maps `a` from the request's `scratch` table onto the tenant's
+// `symbols` by lookup; variables stay per-request.
+void Resolve(Atom* a, const SymbolTable& scratch, const SymbolTable& symbols) {
+  a->pred = symbols.FindRelation(scratch.RelationName(a->pred));
+  auto resolve = [&](Term& t) {
+    if (t.IsConstant()) t = symbols.FindConstant(scratch.ConstantName(t));
+    if (t.IsNull()) t = symbols.FindNamedNull(scratch.NamedNullName(t));
+  };
+  for (Term& t : a->args) resolve(t);
+  for (Term& t : a->annotation) resolve(t);
+}
+
+// The parse error a parse of `text` into the tenant's table would report:
+// a reparse into a table seeded with the tenant's arities.
+std::string TenantParseError(const std::string& text,
+                             const SymbolTable& scratch,
+                             const SymbolTable& symbols) {
+  SymbolTable seeded;
+  for (RelationId r = 0; r < scratch.NumRelations(); ++r) {
+    RelationId known = symbols.FindRelation(scratch.RelationName(r));
+    if (known != kUnknownRelation) {
+      seeded.Relation(scratch.RelationName(r), symbols.RelationArity(known));
+    }
   }
-  return "?";
+  Result<Rule> reparsed = ParseRule(text, &seeded);
+  return reparsed.ok() ? "query does not match the kb's relation arities"
+                       : reparsed.status().message();
+}
+
+// One answer as the scratch-table `head` states it: variables show the
+// tuple's values, constants show as the query wrote them.
+std::string RenderAnswer(const Atom& head, const std::vector<Term>& tuple,
+                         const SymbolTable& scratch,
+                         const SymbolTable& symbols) {
+  std::string out = scratch.RelationName(head.pred);
+  if (head.args.empty()) return out;
+  out += '(';
+  for (size_t i = 0; i < head.args.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += head.args[i].IsVariable() ? ToString(tuple[i], symbols)
+                                     : ToString(head.args[i], scratch);
+  }
+  out += ')';
+  return out;
 }
 
 }  // namespace
@@ -42,8 +90,8 @@ DispatchOutcome Dispatcher::Dispatch(const WireRequest& req) {
   std::string name = req.kb.empty() ? kDefaultKbName : req.kb;
   switch (req.op) {
     case Op::kQuery: return Query(req, name);
-    case Op::kAssert: return Assert(req, name);
-    case Op::kRetract: return Retract(req, name);
+    case Op::kAssert:
+    case Op::kRetract: return Write(req, name);
     case Op::kPrepare: return Prepare(req, name);
     case Op::kSave: return Save(req, name);
     case Op::kDrop: return Drop(req, name);
@@ -56,26 +104,32 @@ DispatchOutcome Dispatcher::Dispatch(const WireRequest& req) {
 DispatchOutcome Dispatcher::Query(const WireRequest& req,
                                   const std::string& name) {
   std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (tenant == nullptr) {
-    return DispatchOutcome::Error(Op::kQuery, name, kErrUnknownKb,
-                                  "unknown kb \"" + name + "\"");
-  }
-  Rule cq;
-  {
-    // Parsing interns names into the tenant's symbol table — exclusive.
-    std::unique_lock<std::shared_mutex> lock(tenant->mu);
-    Result<Rule> parsed = ParseRule(req.cq, tenant->symbols);
-    if (!parsed.ok()) {
-      return DispatchOutcome::Error(Op::kQuery, name, kErrParse,
-                                    parsed.status().message());
+  if (tenant == nullptr) return UnknownKb(Op::kQuery, name);
+  // The query's names go into a table of its own (DESIGN.md §7): the
+  // tenant's table is only read, so a query leaves the tenant as it was.
+  SymbolTable scratch;
+  Result<Rule> parsed = ParseRule(req.cq, &scratch);
+  std::lock_guard<std::mutex> lock(tenant->mu);
+  const SymbolTable& symbols = *tenant->symbols;
+  bool parse_ok = parsed.ok();
+  Rule cq = parse_ok ? std::move(parsed).value() : Rule();
+  // The head as written, for rendering (ParseRule yields at least one).
+  const Atom head = parse_ok ? cq.head[0] : Atom();
+  for (Literal& l : cq.body) {
+    Resolve(&l.atom, scratch, symbols);
+    // A known body relation keeps its arity; the head's is free.
+    int declared = l.atom.pred == kUnknownRelation
+                       ? -1
+                       : symbols.RelationArity(l.atom.pred);
+    if (declared >= 0 && declared != static_cast<int>(l.atom.arity())) {
+      parse_ok = false;
     }
-    cq = std::move(parsed).value();
   }
-  // Execution and rendering only read the symbol table; the shared lock
-  // admits concurrent queries while excluding parsers and mutations.
-  // (An assert slipping in between the two locks is harmless — the
-  // query just observes the newer, still-consistent model.)
-  std::shared_lock<std::shared_mutex> lock(tenant->mu);
+  for (Atom& h : cq.head) Resolve(&h, scratch, symbols);
+  if (!parse_ok) {
+    return DispatchOutcome::Error(Op::kQuery, name, kErrParse,
+                                  TenantParseError(req.cq, scratch, symbols));
+  }
   Result<PreparedQueryResult> answers = tenant->kb->Query(cq);
   if (!answers.ok()) {
     return DispatchOutcome::Error(Op::kQuery, name, kErrFailed,
@@ -84,44 +138,59 @@ DispatchOutcome Dispatcher::Query(const WireRequest& req,
   DispatchOutcome out;
   out.op = Op::kQuery;
   out.kb = name;
-  const Atom& head = cq.head[0];
   out.query.answers.reserve(answers.value().answers.size());
   for (const std::vector<Term>& tuple : answers.value().answers) {
-    Atom a(head.pred, tuple);
-    out.query.answers.push_back(ToString(a, *tenant->symbols));
+    out.query.answers.push_back(RenderAnswer(head, tuple, scratch, symbols));
   }
   out.query.complete = answers.value().complete;
   out.query.cache_hit = answers.value().cache_hit;
   out.query.degradation = answers.value().degradation;
-  out.has_cursor = true;
-  out.seq = tenant->seq;
-  out.epoch = tenant->epoch;
+  SetCursor(*tenant, &out);
   return out;
 }
 
-DispatchOutcome Dispatcher::Assert(const WireRequest& req,
-                                   const std::string& name) {
+DispatchOutcome Dispatcher::Write(const WireRequest& req,
+                                  const std::string& name) {
   std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (tenant == nullptr) {
-    return DispatchOutcome::Error(Op::kAssert, name, kErrUnknownKb,
-                                  "unknown kb \"" + name + "\"");
-  }
-  std::unique_lock<std::shared_mutex> lock(tenant->mu);
+  if (tenant == nullptr) return UnknownKb(req.op, name);
+  std::lock_guard<std::mutex> lock(tenant->mu);
   std::string padded(Trim(req.facts));
   if (!padded.empty() && padded.back() != '.') padded += '.';
   Result<Database> facts = ParseDatabase(padded, tenant->symbols);
   if (!facts.ok()) {
-    return DispatchOutcome::Error(Op::kAssert, name, kErrParse,
+    return DispatchOutcome::Error(req.op, name, kErrParse,
                                   facts.status().message());
   }
-  // One Assert call per request frame: the whole batch seeds a single
-  // semi-naive delta pass.
-  Result<AssertResult> result = tenant->kb->Assert(facts.value().AtomsVector());
-  if (!result.ok()) {
-    return DispatchOutcome::Error(Op::kAssert, name, kErrFailed,
-                                  result.status().message());
+  // One KB call per request frame: the whole batch seeds a single
+  // semi-naive delta pass or DRed run.
+  DispatchOutcome out;
+  out.op = req.op;
+  out.kb = name;
+  bool delta = true;
+  if (req.op == Op::kAssert) {
+    Result<AssertResult> r = tenant->kb->Assert(facts.value().AtomsVector());
+    if (!r.ok()) {
+      return DispatchOutcome::Error(req.op, name, kErrFailed,
+                                    r.status().message());
+    }
+    out.assert_reply = {r.value().new_atoms, r.value().derived_atoms,
+                        r.value().delta};
+    delta = r.value().delta;
+  } else {
+    Result<RetractResult> r =
+        tenant->kb->Retract(facts.value().AtomsVector());
+    if (!r.ok()) {
+      // Covers retracting an unknown or derived-only fact: the KB is
+      // untouched, so the cursor does not move.
+      return DispatchOutcome::Error(req.op, name, kErrFailed,
+                                    r.status().message());
+    }
+    out.retract = {r.value().removed_atoms, r.value().overdeleted_atoms,
+                   r.value().rederived_atoms, r.value().delta};
+    delta = r.value().delta;
   }
-  if (result.value().delta) {
+  if (delta) {
+    // Replicas replay the batch as one delta step.
     ++tenant->seq;
   } else {
     // The model was rebuilt from the EDB: delta replicas cannot catch
@@ -130,60 +199,7 @@ DispatchOutcome Dispatcher::Assert(const WireRequest& req,
     tenant->seq = 0;
   }
   tenant->dirty = true;
-  DispatchOutcome out;
-  out.op = Op::kAssert;
-  out.kb = name;
-  out.assert_reply.new_atoms = result.value().new_atoms;
-  out.assert_reply.derived_atoms = result.value().derived_atoms;
-  out.assert_reply.delta = result.value().delta;
-  out.has_cursor = true;
-  out.seq = tenant->seq;
-  out.epoch = tenant->epoch;
-  return out;
-}
-
-DispatchOutcome Dispatcher::Retract(const WireRequest& req,
-                                    const std::string& name) {
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (tenant == nullptr) {
-    return DispatchOutcome::Error(Op::kRetract, name, kErrUnknownKb,
-                                  "unknown kb \"" + name + "\"");
-  }
-  std::unique_lock<std::shared_mutex> lock(tenant->mu);
-  std::string padded(Trim(req.facts));
-  if (!padded.empty() && padded.back() != '.') padded += '.';
-  Result<Database> facts = ParseDatabase(padded, tenant->symbols);
-  if (!facts.ok()) {
-    return DispatchOutcome::Error(Op::kRetract, name, kErrParse,
-                                  facts.status().message());
-  }
-  Result<RetractResult> result =
-      tenant->kb->Retract(facts.value().AtomsVector());
-  if (!result.ok()) {
-    // Covers retracting an unknown or derived-only fact: the KB is
-    // untouched, so the cursor does not move.
-    return DispatchOutcome::Error(Op::kRetract, name, kErrFailed,
-                                  result.status().message());
-  }
-  if (result.value().delta) {
-    // DRed ran: replicas replay the retraction as one delta step.
-    ++tenant->seq;
-  } else {
-    // Fallback re-materialization: full resync point.
-    ++tenant->epoch;
-    tenant->seq = 0;
-  }
-  tenant->dirty = true;
-  DispatchOutcome out;
-  out.op = Op::kRetract;
-  out.kb = name;
-  out.retract.removed = result.value().removed_atoms;
-  out.retract.overdeleted = result.value().overdeleted_atoms;
-  out.retract.rederived = result.value().rederived_atoms;
-  out.retract.delta = result.value().delta;
-  out.has_cursor = true;
-  out.seq = tenant->seq;
-  out.epoch = tenant->epoch;
+  SetCursor(*tenant, &out);
   return out;
 }
 
@@ -209,26 +225,25 @@ DispatchOutcome Dispatcher::Prepare(const WireRequest& req,
     text = buf.str();
   }
   TenantRegistry::PrepareInfo info;
-  Result<std::shared_ptr<Tenant>> tenant =
+  Result<std::shared_ptr<Tenant>> prepared =
       registry_->Prepare(name, text, req.max_rules, &info);
-  if (!tenant.ok()) {
+  if (!prepared.ok()) {
     // Covers parse failures, non-wfg theories, and prepare-race losses;
     // the message says which.
     return DispatchOutcome::Error(Op::kPrepare, name, kErrFailed,
-                                  tenant.status().message());
+                                  prepared.status().message());
   }
-  std::shared_lock<std::shared_mutex> lock(tenant.value()->mu);
+  Tenant& tenant = *prepared.value();
+  std::lock_guard<std::mutex> lock(tenant.mu);
   DispatchOutcome out;
   out.op = Op::kPrepare;
   out.kb = name;
-  out.prepare.mode = ModeName(tenant.value()->kb->mode());
-  out.prepare.datalog_rules = tenant.value()->kb->datalog_rules();
-  out.prepare.model_atoms = tenant.value()->kb->model_size();
+  out.prepare.mode = ModeName(tenant.kb->mode());
+  out.prepare.datalog_rules = tenant.kb->datalog_rules();
+  out.prepare.model_atoms = tenant.kb->model_size();
   out.prepare.loaded_snapshot = info.loaded_snapshot;
-  out.prepare.complete = tenant.value()->kb->prepare_complete();
-  out.has_cursor = true;
-  out.seq = tenant.value()->seq;
-  out.epoch = tenant.value()->epoch;
+  out.prepare.complete = tenant.kb->prepare_complete();
+  SetCursor(tenant, &out);
   return out;
 }
 
@@ -239,7 +254,7 @@ DispatchOutcome Dispatcher::Stats(const WireRequest& req) {
     // Aggregate: one block per tenant (name-sorted) plus the sum.
     out.stats.aggregated = true;
     for (const std::shared_ptr<Tenant>& tenant : registry_->All()) {
-      std::shared_lock<std::shared_mutex> lock(tenant->mu);
+      std::lock_guard<std::mutex> lock(tenant->mu);
       ServiceStats stats = tenant->kb->stats();
       out.stats.total.Accumulate(stats);
       out.stats.per_kb.emplace_back(tenant->name, std::move(stats));
@@ -247,33 +262,25 @@ DispatchOutcome Dispatcher::Stats(const WireRequest& req) {
     return out;
   }
   std::shared_ptr<Tenant> tenant = registry_->Find(req.kb);
-  if (tenant == nullptr) {
-    return DispatchOutcome::Error(Op::kStats, req.kb, kErrUnknownKb,
-                                  "unknown kb \"" + req.kb + "\"");
-  }
-  std::shared_lock<std::shared_mutex> lock(tenant->mu);
+  if (tenant == nullptr) return UnknownKb(Op::kStats, req.kb);
+  std::lock_guard<std::mutex> lock(tenant->mu);
   out.kb = req.kb;
   out.stats.total = tenant->kb->stats();
-  out.has_cursor = true;
-  out.seq = tenant->seq;
-  out.epoch = tenant->epoch;
+  SetCursor(*tenant, &out);
   return out;
 }
 
 DispatchOutcome Dispatcher::Save(const WireRequest& req,
                                  const std::string& name) {
   std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (tenant == nullptr) {
-    return DispatchOutcome::Error(Op::kSave, name, kErrUnknownKb,
-                                  "unknown kb \"" + name + "\"");
-  }
+  if (tenant == nullptr) return UnknownKb(Op::kSave, name);
   std::string path = !req.path.empty() ? req.path : tenant->snapshot_path;
   if (path.empty()) {
     return DispatchOutcome::Error(Op::kSave, name, kErrBadRequest,
                                   "save requires a path");
   }
-  // Exclusive: the saved image must correspond to one (seq, epoch).
-  std::unique_lock<std::shared_mutex> lock(tenant->mu);
+  // The saved image corresponds to one (seq, epoch).
+  std::lock_guard<std::mutex> lock(tenant->mu);
   Status s = tenant->kb->SaveSnapshot(path);
   if (!s.ok()) {
     return DispatchOutcome::Error(Op::kSave, name, kErrIo, s.message());
@@ -283,18 +290,13 @@ DispatchOutcome Dispatcher::Save(const WireRequest& req,
   out.op = Op::kSave;
   out.kb = name;
   out.save.path = path;
-  out.has_cursor = true;
-  out.seq = tenant->seq;
-  out.epoch = tenant->epoch;
+  SetCursor(*tenant, &out);
   return out;
 }
 
 DispatchOutcome Dispatcher::Drop(const WireRequest& /*req*/,
                                  const std::string& name) {
-  if (registry_->Find(name) == nullptr) {
-    return DispatchOutcome::Error(Op::kDrop, name, kErrUnknownKb,
-                                  "unknown kb \"" + name + "\"");
-  }
+  if (registry_->Find(name) == nullptr) return UnknownKb(Op::kDrop, name);
   Status s = registry_->Drop(name);
   if (!s.ok()) {
     return DispatchOutcome::Error(Op::kDrop, name, kErrIo, s.message());

@@ -3,14 +3,16 @@
 // their input into a WireRequest, pass it here, and render the
 // DispatchOutcome in their own framing — so the two paths cannot drift.
 //
-// Locking per request (see registry.h): request text parses under the
-// tenant's exclusive lock (parsing interns symbols), queries execute and
-// render under the shared lock, and mutations hold the exclusive lock
-// throughout (updating the replication cursor before releasing it).
+// Locking per request (see registry.h): every op takes its tenant's one
+// mutex once and holds it to the end, cursor update included. A query
+// parses its CQ into a scratch symbol table before taking the lock and
+// resolves the names against the tenant's table without interning, so it
+// writes nothing to the tenant.
 #ifndef GEREL_SERVER_DISPATCH_H_
 #define GEREL_SERVER_DISPATCH_H_
 
 #include <string>
+#include <string_view>
 
 #include "server/registry.h"
 #include "server/wire.h"
@@ -21,6 +23,9 @@ namespace server {
 // The tenant a KB-scoped request resolves to when it names none.
 inline constexpr char kDefaultKbName[] = "default";
 
+// `s` without leading and trailing spaces, tabs, CRs and LFs.
+std::string_view Trim(std::string_view s);
+
 class Dispatcher {
  public:
   explicit Dispatcher(TenantRegistry* registry) : registry_(registry) {}
@@ -30,12 +35,11 @@ class Dispatcher {
   // stable error code.
   DispatchOutcome Dispatch(const WireRequest& req);
 
-  TenantRegistry* registry() { return registry_; }
-
  private:
   DispatchOutcome Query(const WireRequest& req, const std::string& name);
-  DispatchOutcome Assert(const WireRequest& req, const std::string& name);
-  DispatchOutcome Retract(const WireRequest& req, const std::string& name);
+  // Assert and retract: parse the facts, apply them as one batch, move
+  // the cursor, mark the tenant dirty.
+  DispatchOutcome Write(const WireRequest& req, const std::string& name);
   DispatchOutcome Prepare(const WireRequest& req, const std::string& name);
   DispatchOutcome Stats(const WireRequest& req);
   DispatchOutcome Save(const WireRequest& req, const std::string& name);

@@ -49,7 +49,6 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
   const std::string& as_string() const { return string_; }
   const std::vector<JsonValue>& items() const { return items_; }
   // Object members in insertion order (the writer and tests rely on a

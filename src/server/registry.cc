@@ -44,11 +44,7 @@ Result<std::shared_ptr<Tenant>> TenantRegistry::Prepare(
     }
   }
   PreparedKbOptions options = config_.kb_options;
-  if (max_rules > 0) {
-    options.pipeline.expansion.max_rules = max_rules;
-    options.pipeline.saturation.max_rules = max_rules;
-    options.pipeline.grounding.max_rules = max_rules;
-  }
+  options.pipeline.CapRules(max_rules);
   auto tenant = std::make_shared<Tenant>();
   tenant->name = name;
   tenant->fingerprint = FingerprintText(program_text);
@@ -146,8 +142,8 @@ Status TenantRegistry::Drop(const std::string& name) {
     tenants_.erase(it);
   }
   // In-flight requests still hold the shared_ptr; the final save waits
-  // for them at the exclusive lock.
-  std::unique_lock<std::shared_mutex> lock(tenant->mu);
+  // for them at the tenant lock.
+  std::lock_guard<std::mutex> lock(tenant->mu);
   if (tenant->dirty && !tenant->snapshot_path.empty()) {
     Status s = tenant->kb->SaveSnapshot(tenant->snapshot_path);
     if (!s.ok()) return s;
@@ -159,7 +155,7 @@ Status TenantRegistry::Drop(const std::string& name) {
 Status TenantRegistry::SaveDirty() {
   Status first = Status::Ok();
   for (const std::shared_ptr<Tenant>& tenant : All()) {
-    std::unique_lock<std::shared_mutex> lock(tenant->mu);
+    std::lock_guard<std::mutex> lock(tenant->mu);
     if (!tenant->dirty || tenant->snapshot_path.empty()) continue;
     Status s = tenant->kb->SaveSnapshot(tenant->snapshot_path);
     if (s.ok()) {

@@ -1,14 +1,11 @@
 // Multi-tenant registry: named PreparedKb instances served by one
 // process (DESIGN.md §10).
 //
-// Each tenant owns its PreparedKb *and its SymbolTable* — symbol tables
-// are not thread-safe and parsing interns names, so a tenant-level
-// shared_mutex arbitrates: request text is parsed under the exclusive
-// lock (short — it only touches the symbol table), queries then execute
-// and render under the shared lock (PreparedKb::Query takes its own
-// internal shared lock; parsed Term/Rule ids stay valid because symbol
-// tables only grow), and mutations (assert/retract/prepare/save/drop)
-// hold the exclusive lock throughout.
+// Each tenant owns its PreparedKb *and its SymbolTable*, neither of which
+// locks itself. One mutex per tenant serializes the requests on it: each
+// Dispatcher op, Drop and SaveDirty takes it once, for the whole
+// operation. A served query takes two locks, the registry map's and the
+// tenant's, and only reads the tenant's table (DESIGN.md §10).
 //
 // Replication cursor: every tenant carries (epoch, seq). epoch starts
 // at 1 on prepare or snapshot load and bumps — resetting seq to 0 —
@@ -26,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -45,9 +41,9 @@ struct Tenant {
   std::unique_ptr<PreparedKb> owned_kb;
   SymbolTable* symbols = nullptr;
   PreparedKb* kb = nullptr;
-  // Tenant-level lock (see header comment). PreparedKb's internal lock
-  // nests inside; never take a tenant lock while holding it.
-  mutable std::shared_mutex mu;
+  // The tenant's only lock (see header comment): guards kb, symbols and
+  // the fields below. Never take the registry map lock while holding it.
+  std::mutex mu;
   // Replication cursor; guarded by mu.
   uint64_t epoch = 1;
   uint64_t seq = 0;
@@ -113,8 +109,6 @@ class TenantRegistry {
 
   // FNV-1a over program text; never returns 0 (0 = unchecked).
   static uint64_t FingerprintText(const std::string& text);
-
-  const Config& config() const { return config_; }
 
  private:
   Config config_;

@@ -6,19 +6,9 @@
 
 namespace gerel {
 
-namespace {
+using server::Trim;
 
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
-                        s.front() == '\r' || s.front() == '\n')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
-                        s.back() == '\r' || s.back() == '\n')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+namespace {
 
 // Splits off the first whitespace-delimited word.
 std::string_view FirstWord(std::string_view line, std::string_view* rest) {

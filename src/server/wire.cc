@@ -1,5 +1,7 @@
 #include "server/wire.h"
 
+#include <cmath>
+
 namespace gerel {
 namespace server {
 
@@ -36,6 +38,26 @@ Status GetString(const JsonValue& frame, const char* key, std::string* out) {
   return Status::Ok();
 }
 
+// Reads an optional integer field; *present (if given) records that it
+// was there. JSON numbers are doubles: only integral values of magnitude
+// at most 2^53 - 1 name one integer exactly, so anything else is refused.
+Status GetInteger(const JsonValue& frame, const char* key, bool non_negative,
+                  int64_t* out, bool* present = nullptr) {
+  const JsonValue* v = frame.Get(key);
+  if (v == nullptr) return Status::Ok();
+  constexpr double kMaxExact = 9007199254740991.0;  // 2^53 - 1
+  double d = v->is_number() ? v->as_number() : NAN;
+  if (!(d >= (non_negative ? 0 : -kMaxExact) && d <= kMaxExact) ||
+      d != std::trunc(d)) {
+    return BadRequest(std::string("field \"") + key + "\" must be " +
+                      (non_negative ? "a non-negative" : "an") +
+                      " integer of magnitude at most 2^53 - 1");
+  }
+  if (present != nullptr) *present = true;
+  *out = static_cast<int64_t>(d);
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<WireRequest> DecodeRequest(const JsonValue& frame) {
@@ -68,11 +90,8 @@ Result<WireRequest> DecodeRequest(const JsonValue& frame) {
     if (!kb->is_string()) return BadRequest("field \"kb\" must be a string");
     req.kb = kb->as_string();
   }
-  if (const JsonValue* id = frame.Get("id"); id != nullptr) {
-    if (!id->is_number()) return BadRequest("field \"id\" must be a number");
-    req.has_id = true;
-    req.id = id->as_int();
-  }
+  s = GetInteger(frame, "id", /*non_negative=*/false, &req.id, &req.has_id);
+  if (!s.ok()) return s;
   switch (req.op) {
     case Op::kQuery: {
       s = GetString(frame, "cq", &req.cq);
@@ -124,12 +143,10 @@ Result<WireRequest> DecodeRequest(const JsonValue& frame) {
       if (req.program.empty() && req.path.empty()) {
         return BadRequest("prepare needs \"program\" or \"path\"");
       }
-      if (const JsonValue* mr = frame.Get("max_rules"); mr != nullptr) {
-        if (!mr->is_number() || mr->as_number() < 0) {
-          return BadRequest("field \"max_rules\" must be a number");
-        }
-        req.max_rules = static_cast<size_t>(mr->as_int());
-      }
+      int64_t max_rules = 0;
+      s = GetInteger(frame, "max_rules", /*non_negative=*/true, &max_rules);
+      if (!s.ok()) return s;
+      req.max_rules = static_cast<size_t>(max_rules);
       break;
     }
     case Op::kSave: {

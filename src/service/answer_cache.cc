@@ -1,10 +1,11 @@
 #include "service/answer_cache.h"
 
+#include "core/check.h"
+
 namespace gerel {
 
 bool AnswerCache::Lookup(const std::string& key, Entry* out) {
   if (capacity_ == 0) return false;
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) return false;
   lru_.splice(lru_.begin(), lru_, it->second);
@@ -14,16 +15,8 @@ bool AnswerCache::Lookup(const std::string& key, Entry* out) {
 
 void AnswerCache::Insert(const std::string& key, Entry entry) {
   if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Concurrent queries can race to fill the same key; keep the newest.
-    it->second->second = std::move(entry);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
   lru_.emplace_front(key, std::move(entry));
-  index_.emplace(key, lru_.begin());
+  GEREL_CHECK(index_.emplace(key, lru_.begin()).second);
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
@@ -32,7 +25,6 @@ void AnswerCache::Insert(const std::string& key, Entry entry) {
 
 size_t AnswerCache::EvictReading(const std::unordered_set<RelationId>& preds,
                                  size_t* retained) {
-  std::lock_guard<std::mutex> lock(mu_);
   size_t evicted = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     bool affected = false;
@@ -55,14 +47,8 @@ size_t AnswerCache::EvictReading(const std::unordered_set<RelationId>& preds,
 }
 
 void AnswerCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
-}
-
-size_t AnswerCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
 }
 
 }  // namespace gerel

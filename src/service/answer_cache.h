@@ -1,20 +1,18 @@
 // An LRU cache of answer sets keyed by the canonicalized conjunctive
 // query (DESIGN.md §7).
 //
-// The cache is internally locked so that many PreparedKb::Query calls —
-// which run concurrently under the KB's shared lock — can probe and fill
-// it. Invalidation is dependency-aware: every entry carries the set of
-// predicates its compiled join read (body relations plus any appended
-// acdom guards), and a write (Assert/Retract) evicts, via EvictReading,
-// only the entries whose read-set intersects the dependency closure of
-// the changed predicates — cached answers over unrelated predicates
-// survive the write. Clear() remains for program recompilation, where
+// Single owner, like the PreparedKb that holds it: no lock, and callers
+// serialize every call. Invalidation is dependency-aware: every entry
+// carries the set of predicates its compiled join read (body relations
+// plus any appended acdom guards), and a write (Assert/Retract) evicts,
+// via EvictReading, only the entries whose read-set intersects the
+// dependency closure of the changed predicates — cached answers over
+// unrelated predicates survive the write. Clear() remains for program recompilation, where
 // the rule set itself (and hence every read-set's meaning) changes.
 #ifndef GEREL_SERVICE_ANSWER_CACHE_H_
 #define GEREL_SERVICE_ANSWER_CACHE_H_
 
 #include <list>
-#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -45,8 +43,9 @@ class AnswerCache {
   // most-recently-used, and returns true.
   bool Lookup(const std::string& key, Entry* out);
 
-  // Inserts (or refreshes) the entry, evicting the least-recently-used
-  // key when over capacity.
+  // Inserts the entry for a key that is not cached (callers insert after
+  // a Lookup miss), evicting the least-recently-used key when over
+  // capacity.
   void Insert(const std::string& key, Entry entry);
 
   // Drops every entry whose read-set intersects `preds` (the dependency
@@ -59,13 +58,11 @@ class AnswerCache {
   // Drops every entry (program recompiled).
   void Clear();
 
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
+  size_t size() const { return lru_.size(); }
 
  private:
   using LruList = std::list<std::pair<std::string, Entry>>;
 
-  mutable std::mutex mu_;
   const size_t capacity_;
   LruList lru_;  // Front = most recently used.
   std::unordered_map<std::string, LruList::iterator> index_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <utility>
 
 #include "analyze/analyze.h"
@@ -133,24 +132,21 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
     s = kb->MaterializeModel();
     if (!s.ok()) return s;
   }
-  {
-    std::lock_guard<std::mutex> lock(kb->stats_mu_);
-    kb->stats_.prepares = 1;
-    kb->stats_.prepare_wall_ms = MsSince(start);
-    kb->stats_.prepare_classify_wall_ms = classify_ms;
-    kb->stats_.prepare_transform_wall_ms = transform_ms;
-    kb->stats_.prepare_materialize_wall_ms = MsSince(materialize_start);
-    kb->stats_.model_atoms = kb->model_.size();
-    kb->stats_.datalog_rules = kb->DatalogRulesLocked();
-    kb->stats_.diagnostics = diagnostics;
-    kb->stats_.materialization_strategy =
-        chase_materialized ? "chase" : "datalog";
-    kb->stats_.termination_certificate = certificate_kind;
-    DegradationReason reason = kb->DegradationLocked();
-    if (reason.degraded()) {
-      kb->stats_.degraded_prepares = 1;
-      kb->stats_.last_degradation = reason;
-    }
+  ServiceStats& stats = kb->stats_;
+  stats.prepares = 1;
+  stats.prepare_wall_ms = MsSince(start);
+  stats.prepare_classify_wall_ms = classify_ms;
+  stats.prepare_transform_wall_ms = transform_ms;
+  stats.prepare_materialize_wall_ms = MsSince(materialize_start);
+  stats.model_atoms = kb->model_.size();
+  stats.datalog_rules = kb->datalog_rules();
+  stats.diagnostics = diagnostics;
+  stats.materialization_strategy = chase_materialized ? "chase" : "datalog";
+  stats.termination_certificate = certificate_kind;
+  DegradationReason reason = kb->degradation();
+  if (reason.degraded()) {
+    stats.degraded_prepares = 1;
+    stats.last_degradation = reason;
   }
   return kb;
 }
@@ -267,7 +263,6 @@ void PreparedKb::EvictCacheForWrite(std::unordered_set<RelationId> written,
   size_t retained = 0;
   size_t evicted =
       cache_.EvictReading(DependencyClosure(std::move(written)), &retained);
-  std::lock_guard<std::mutex> slock(stats_mu_);
   stats_.cache_evicted_entries += evicted;
   stats_.cache_retained_entries += retained;
 }
@@ -291,10 +286,7 @@ Status PreparedKb::MaterializeModel() {
     // Derivation supports are recorded by the compiled program only;
     // chase mode always re-chases on Retract.
     supports_valid_ = false;
-    if (run.saturated) {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.chase_materializations;
-    }
+    if (run.saturated) ++stats_.chase_materializations;
     return Status::Ok();
   }
   model_ = edb_;
@@ -324,13 +316,6 @@ bool PreparedKb::QueryCannotHaveNullWitnesses(const Rule& cq) const {
 }
 
 Result<PreparedQueryResult> PreparedKb::Query(const Rule& cq) const {
-  if (options_.budget.unlimited()) return Query(cq, nullptr);
-  ExecutionBudget budget(options_.budget, GlobalFaultPlan());
-  return Query(cq, &budget);
-}
-
-Result<PreparedQueryResult> PreparedKb::Query(const Rule& cq,
-                                              ExecutionBudget* budget) const {
   if (cq.head.size() != 1) {
     return Status::Error("conjunctive query must have a single head atom");
   }
@@ -357,16 +342,42 @@ Result<PreparedQueryResult> PreparedKb::Query(const Rule& cq,
     if (!in_body) positives.push_back(Atom(acdom_, {x}));
   }
   Clock::time_point start = Clock::now();
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::string key = CanonicalRuleString(cq, *symbols_);
+  ExecutionBudget armed;
+  ExecutionBudget* budget = nullptr;
+  if (!options_.budget.unlimited()) {
+    armed.Arm(options_.budget, GlobalFaultPlan());
+    budget = &armed;
+  }
+  // Stand-ins for names the symbol table lacks (symbol_table.h): in the
+  // body they match no model atom, and anywhere but as the head's
+  // relation they keep the answer out of the cache, whose keys render
+  // names. An unknown head relation keys by its argument pattern alone.
+  auto unknown = [](Term t) {
+    return t == kUnknownConstant || t == kUnknownNull;
+  };
+  auto names_unknown = [&](const Atom& a) {
+    return std::any_of(a.args.begin(), a.args.end(), unknown) ||
+           std::any_of(a.annotation.begin(), a.annotation.end(), unknown);
+  };
+  bool matchable = true;
+  for (const Atom& a : positives) {
+    if (a.pred == kUnknownRelation || names_unknown(a)) matchable = false;
+  }
+  const bool cacheable = matchable && !names_unknown(cq.head[0]);
+  static const RelationRenames kUnnamedHead = {{kUnknownRelation, ""}};
+  std::string key;
   PreparedQueryResult result;
   AnswerCache::Entry entry;
-  if (cache_.Lookup(key, &entry)) {
+  if (cacheable) {
+    key = CanonicalRuleString(
+        cq, *symbols_,
+        cq.head[0].pred == kUnknownRelation ? &kUnnamedHead : nullptr);
+  }
+  if (cacheable && cache_.Lookup(key, &entry)) {
     result.answers = std::move(entry.answers);
     result.complete = entry.complete;
     result.cache_hit = true;
-    if (!result.complete) result.degradation = DegradationLocked();
-    std::lock_guard<std::mutex> slock(stats_mu_);
+    if (!result.complete) result.degradation = degradation();
     ++stats_.queries;
     ++stats_.cache_hits;
     if (!result.complete) ++stats_.degraded_queries;
@@ -382,7 +393,7 @@ Result<PreparedQueryResult> PreparedKb::Query(const Rule& cq,
       !budget->CheckRound(GovernedStage::kQuery, 1, model_.size())) {
     truncated = true;
   }
-  if (!truncated) {
+  if (!truncated && matchable) {
     JoinPlan plan(positives);
     CompiledAtom head = plan.Compile(cq.head[0]);
     JoinExecutor exec;
@@ -411,14 +422,14 @@ Result<PreparedQueryResult> PreparedKb::Query(const Rule& cq,
       result.degradation.limit = BudgetLimit::kDeadline;
     }
   } else if (!result.complete) {
-    result.degradation = DegradationLocked();
+    result.degradation = degradation();
   }
   // A budget-truncated answer set is transient (a retry with a fresh
   // deadline may do better); only deterministic results are cached. The
   // entry is tagged with the predicates the join read (body relations
   // plus any appended acdom guards) so writes can invalidate it by
   // dependency instead of clearing the cache.
-  if (!truncated) {
+  if (!truncated && cacheable) {
     std::vector<RelationId> reads;
     reads.reserve(positives.size());
     for (const Atom& a : positives) reads.push_back(a.pred);
@@ -426,7 +437,6 @@ Result<PreparedQueryResult> PreparedKb::Query(const Rule& cq,
     reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
     cache_.Insert(key, {result.answers, result.complete, std::move(reads)});
   }
-  std::lock_guard<std::mutex> slock(stats_mu_);
   ++stats_.queries;
   ++stats_.cache_misses;
   if (!result.complete) {
@@ -446,7 +456,6 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
     }
   }
   Clock::time_point start = Clock::now();
-  std::unique_lock<std::shared_mutex> lock(mu_);
   // Fresh deadline for this operation's recompile/rematerialize/delta
   // work (the compiled program's options point at budget_).
   budget_->Arm(options_.budget, GlobalFaultPlan());
@@ -467,7 +476,6 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
     // rebuild the identical model, so skip the re-chase and report a
     // no-op delta (replicas need no resync).
     out.delta = true;
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.asserts;
     ++stats_.delta_asserts;
     stats_.assert_wall_ms += MsSince(start);
@@ -536,8 +544,7 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
     for (const Atom& f : facts) written.insert(f.pred);
     EvictCacheForWrite(std::move(written), domain_changed);
   }
-  DegradationReason reason = DegradationLocked();
-  std::lock_guard<std::mutex> slock(stats_mu_);
+  DegradationReason reason = degradation();
   ++stats_.asserts;
   if (reason.degraded()) {
     ++stats_.degraded_prepares;
@@ -554,7 +561,7 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
     stats_.prepare_materialize_wall_ms += materialize_ms;
   }
   stats_.model_atoms = model_.size();
-  stats_.datalog_rules = DatalogRulesLocked();
+  stats_.datalog_rules = datalog_rules();
   stats_.assert_wall_ms += MsSince(start);
   return out;
 }
@@ -566,7 +573,6 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
     }
   }
   Clock::time_point start = Clock::now();
-  std::unique_lock<std::shared_mutex> lock(mu_);
   budget_->Arm(options_.budget, GlobalFaultPlan());
   // Validate before touching anything: retracting an unknown fact or a
   // derived-only atom is a clean no-op error.
@@ -580,7 +586,6 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
   RetractResult out;
   out.removed_atoms = targets.size();
   if (targets.empty()) {
-    std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.retracts;
     ++stats_.retracts_dred;
     stats_.retract_wall_ms += MsSince(start);
@@ -693,8 +698,7 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
     for (const Atom& f : targets) written.insert(f.pred);
     EvictCacheForWrite(std::move(written), !vanished.empty());
   }
-  DegradationReason reason = DegradationLocked();
-  std::lock_guard<std::mutex> slock(stats_mu_);
+  DegradationReason reason = degradation();
   ++stats_.retracts;
   stats_.retracted_atoms += out.removed_atoms;
   if (out.delta) {
@@ -713,7 +717,7 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
     stats_.last_degradation = reason;
   }
   stats_.model_atoms = model_.size();
-  stats_.datalog_rules = DatalogRulesLocked();
+  stats_.datalog_rules = datalog_rules();
   stats_.retract_wall_ms += MsSince(start);
   return out;
 }
@@ -906,49 +910,20 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
   return true;
 }
 
-std::vector<Atom> PreparedKb::ModelAtoms() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return model_.AtomsVector();
-}
-
-std::vector<Atom> PreparedKb::EdbAtoms() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return edb_.AtomsVector();
-}
-
-ServiceStats PreparedKb::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
-bool PreparedKb::prepare_complete() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return rewrite_complete_ && compile_complete_ && materialize_complete_;
-}
-
-DegradationReason PreparedKb::DegradationLocked() const {
-  if (rewrite_degradation_.degraded()) return rewrite_degradation_;
-  if (compile_degradation_.degraded()) return compile_degradation_;
-  return materialize_degradation_;
+const char* ModeName(PreparedKb::Mode mode) {
+  switch (mode) {
+    case PreparedKb::Mode::kDatalog: return "datalog";
+    case PreparedKb::Mode::kGuarded: return "guarded";
+    case PreparedKb::Mode::kWeaklyGuarded: return "weakly guarded";
+    case PreparedKb::Mode::kChaseMaterialized: return "chase";
+  }
+  return "?";
 }
 
 DegradationReason PreparedKb::degradation() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return DegradationLocked();
-}
-
-size_t PreparedKb::model_size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return model_.size();
-}
-
-size_t PreparedKb::datalog_rules() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return DatalogRulesLocked();
-}
-
-size_t PreparedKb::DatalogRulesLocked() const {
-  return program_ == nullptr ? 0 : program_->theory().size();
+  if (rewrite_degradation_.degraded()) return rewrite_degradation_;
+  if (compile_degradation_.degraded()) return compile_degradation_;
+  return materialize_degradation_;
 }
 
 }  // namespace gerel

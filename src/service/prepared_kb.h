@@ -39,10 +39,9 @@
 //             guarded theory's constant domain shrinks or the retracted
 //             facts carry labeled nulls, or the budget trips mid-retract.
 //
-// Concurrency: Query takes a shared lock, Assert/Retract an exclusive
-// one — any number of reader threads can query while writes serialize.
-// All symbol table access happens under the lock, so sessions may keep
-// parsing on the thread that asserts.
+// Single owner: a PreparedKb holds no lock. Callers serialize every call,
+// const ones included (Query fills the answer cache and counts stats);
+// the server does so with one lock per tenant (server/registry.h).
 //
 // Writes invalidate the answer cache by predicate dependency, not
 // wholesale: CompileProgram records body→head edges of the compiled
@@ -54,7 +53,6 @@
 
 #include <memory>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -175,19 +173,22 @@ class PreparedKb {
 
   // Answers the conjunctive query `cq` (a Datalog rule with a single
   // head atom and a positive, non-empty body) against the materialized
-  // model. Thread-safe: takes a shared lock. Governed by a per-query
-  // budget armed from PreparedKbOptions::budget.
+  // model, keyed in the cache by the canonical body plus the head's name
+  // and argument pattern. A per-query budget armed from
+  // PreparedKbOptions::budget bounds the join; a trip yields the sound
+  // partial answer set with complete = false, never cached.
+  //
+  // `cq` may carry kUnknown* stand-ins (symbol_table.h), as a served
+  // query resolved without interning does (DESIGN.md §7). In the body
+  // they match nothing: the answer set is empty, `complete` is computed
+  // as for any body, and nothing is cached. A kUnknownRelation head keys
+  // by its argument pattern alone; a stand-in head term is copied into
+  // the answers and keeps them out of the cache.
   Result<PreparedQueryResult> Query(const Rule& cq) const;
-  // As above under an explicit per-query budget (may be null). The
-  // budget only bounds this query's join enumeration; a trip yields the
-  // sound partial answer set with complete = false. Budget-truncated
-  // answers are never cached.
-  Result<PreparedQueryResult> Query(const Rule& cq,
-                                    ExecutionBudget* budget) const;
 
   // Adds ground facts to the knowledge base and re-derives their
-  // consequences. Thread-safe: takes an exclusive lock and evicts the
-  // cached answers that depend on the changed predicates.
+  // consequences. Evicts the cached answers that depend on the changed
+  // predicates.
   Result<AssertResult> Assert(const std::vector<Atom>& facts);
 
   // Removes ground EDB facts and incrementally deletes the derived
@@ -196,11 +197,11 @@ class PreparedKb {
   // trusted (see the class comment). Every fact must be a current EDB
   // atom: an unknown or derived-only fact is a clean no-op error (no
   // state changes). A retracted fact may survive in the model when it is
-  // still entailed by the remaining facts. Thread-safe: exclusive lock.
+  // still entailed by the remaining facts.
   Result<RetractResult> Retract(const std::vector<Atom>& facts);
 
-  // Consistent snapshot of the serving counters.
-  ServiceStats stats() const;
+  // Copy of the serving counters.
+  ServiceStats stats() const { return stats_; }
 
   // --- Crash-safe persistence (implemented in snapshot.cc) ---
   //
@@ -230,44 +231,50 @@ class PreparedKb {
   uint64_t snapshot_fingerprint() const { return snapshot_fingerprint_; }
 
   // The first degradation recorded by the prepare/assert pipeline
-  // stages (limit kNone when none).
+  // stages (rewrite, then compile, then materialize; limit kNone when
+  // none).
   DegradationReason degradation() const;
 
   Mode mode() const { return mode_; }
   // Whether every prepare stage ran to completion (no cap hit); query
   // results degrade to complete=false otherwise.
-  bool prepare_complete() const;
-  size_t model_size() const;
-  size_t datalog_rules() const;
-  // Snapshot copies of the materialized model / base facts, for tests
-  // and the differential harness (shared lock; order is insertion order).
-  std::vector<Atom> ModelAtoms() const;
-  std::vector<Atom> EdbAtoms() const;
+  bool prepare_complete() const {
+    return rewrite_complete_ && compile_complete_ && materialize_complete_;
+  }
+  size_t model_size() const { return model_.size(); }
+  // Compiled-program rule count; 0 in chase mode (no program).
+  size_t datalog_rules() const {
+    return program_ == nullptr ? 0 : program_->theory().size();
+  }
+  // Copies of the materialized model / base facts, for tests and the
+  // differential harness (order is insertion order).
+  std::vector<Atom> ModelAtoms() const { return model_.AtomsVector(); }
+  std::vector<Atom> EdbAtoms() const { return edb_.AtomsVector(); }
 
  private:
   PreparedKb(SymbolTable* symbols, const PreparedKbOptions& options);
 
   // Rebuilds the data-dependent stages (grounding + saturation +
-  // program compilation) from the current EDB. Exclusive lock held.
+  // program compilation) from the current EDB.
   Status CompileProgram();
-  // Rebuilds the materialized model from the EDB. Exclusive lock held.
+  // Rebuilds the materialized model from the EDB.
   Status MaterializeModel();
   // Records the compiled program's body→head predicate edges for
   // dependency-aware cache invalidation (also called by LoadSnapshot).
   void BuildDependencyIndex();
   // All predicates transitively derivable from `preds` (including
-  // `preds` themselves). Exclusive lock held.
+  // `preds` themselves).
   std::unordered_set<RelationId> DependencyClosure(
       std::unordered_set<RelationId> preds) const;
   // Evicts cached entries reading the closure of `written` (plus acdom
   // when the active domain changed) and updates the selectivity
-  // counters. Exclusive lock held; takes stats_mu_ internally.
+  // counters.
   void EvictCacheForWrite(std::unordered_set<RelationId> written,
                           bool domain_changed);
   // The DRed core: overdelete/prune/rederive against `new_edb` into
   // *new_model / *new_log. Returns false when the budget tripped
-  // mid-retract; the caller falls back to re-materialization. Exclusive
-  // lock held; model_/supports_ are read, not written.
+  // mid-retract; the caller falls back to re-materialization.
+  // model_/supports_ are read, not written.
   bool RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
                    const std::vector<Term>& vanished, const Database& new_edb,
                    Database* new_model, SupportLog* new_log,
@@ -276,12 +283,6 @@ class PreparedKb {
   // the certain answers — either it is a universal model (chase mode) or
   // no body relation of `cq` can hold a labeled null in the chase.
   bool QueryCannotHaveNullWitnesses(const Rule& cq) const;
-  // Compiled-program rule count; 0 in chase mode (no program). Caller
-  // holds mu_.
-  size_t DatalogRulesLocked() const;
-  // First recorded stage degradation (rewrite, then compile, then
-  // materialize). Caller holds mu_.
-  DegradationReason DegradationLocked() const;
 
   SymbolTable* const symbols_;
   const PreparedKbOptions options_;
@@ -297,16 +298,12 @@ class PreparedKb {
   DegradationReason rewrite_degradation_;
   uint64_t snapshot_fingerprint_ = 0;
 
-  // Budget shared by Prepare/Assert pipelines; re-armed per operation
-  // under the exclusive lock. Owned here because the compiled
-  // DatalogProgram's options hold a pointer into it for the lifetime of
-  // the program. Queries use local budgets instead (shared-lock
-  // concurrency).
+  // Budget shared by Prepare/Assert pipelines; re-armed per operation.
+  // Owned here because the compiled DatalogProgram's options hold a
+  // pointer into it for the lifetime of the program. A query arms a
+  // local budget of its own.
   std::unique_ptr<ExecutionBudget> budget_;
 
-  // Everything below is guarded by mu_ (shared for Query, exclusive for
-  // Assert and the prepare phase).
-  mutable std::shared_mutex mu_;
   Database edb_;    // Base facts: the initial database plus all asserts.
   Database model_;  // edb_ plus every derived consequence (and acdom).
   std::unique_ptr<DatalogProgram> program_;
@@ -328,11 +325,13 @@ class PreparedKb {
   // kWeaklyGuarded only: constants the current grounding covers.
   std::unordered_set<uint32_t> grounded_constants_;
 
+  // Mutable so that Query stays const: it fills the cache and counts.
   mutable AnswerCache cache_;
-
-  mutable std::mutex stats_mu_;
   mutable ServiceStats stats_;
 };
+
+// The mode's name as `gerel serve` and the wire protocol print it.
+const char* ModeName(PreparedKb::Mode mode);
 
 }  // namespace gerel
 

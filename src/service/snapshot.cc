@@ -297,51 +297,45 @@ bool FitsSymbols(const Theory& theory, const SymbolTable& symbols) {
 
 Status PreparedKb::SaveSnapshot(const std::string& path) const {
   Writer w;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    w.U64(snapshot_fingerprint_);
-    w.U8(static_cast<uint8_t>(mode_));
-    uint8_t flags = 0;
-    if (rewrite_complete_) flags |= 1;
-    if (compile_complete_) flags |= 2;
-    if (materialize_complete_) flags |= 4;
-    if (theory_has_existentials_) flags |= 8;
-    w.U8(flags);
-    w.Degradation(rewrite_degradation_);
-    w.Degradation(compile_degradation_);
-    w.Degradation(materialize_degradation_);
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      w.Str(stats_.termination_certificate);
-      w.U64(stats_.diagnostics);
-    }
-    // Symbol table, in dense-id order so re-interning reproduces ids.
-    w.U32(static_cast<uint32_t>(symbols_->NumRelations()));
-    for (RelationId id = 0; id < symbols_->NumRelations(); ++id) {
-      w.Str(symbols_->RelationName(id));
-      w.U32(static_cast<uint32_t>(symbols_->RelationArity(id)));
-    }
-    w.U32(static_cast<uint32_t>(symbols_->NumConstants()));
-    for (uint32_t id = 0; id < symbols_->NumConstants(); ++id) {
-      w.Str(symbols_->ConstantName(Term::Constant(id)));
-    }
-    w.U32(static_cast<uint32_t>(symbols_->NumVariables()));
-    for (uint32_t id = 0; id < symbols_->NumVariables(); ++id) {
-      w.Str(symbols_->VariableName(Term::Variable(id)));
-    }
-    w.U32(symbols_->NumNulls());
-    w.TheoryRec(normal_);
-    w.TheoryRec(weakly_guarded_);
-    w.TheoryRec(program_ == nullptr ? Theory() : program_->theory());
-    w.DatabaseRec(edb_);
-    w.DatabaseRec(model_);
-    // Sorted for byte-stable images (the set iterates in hash order).
-    std::vector<uint32_t> grounded(grounded_constants_.begin(),
-                                   grounded_constants_.end());
-    std::sort(grounded.begin(), grounded.end());
-    w.U32(static_cast<uint32_t>(grounded.size()));
-    for (uint32_t bits : grounded) w.U32(bits);
+  w.U64(snapshot_fingerprint_);
+  w.U8(static_cast<uint8_t>(mode_));
+  uint8_t flags = 0;
+  if (rewrite_complete_) flags |= 1;
+  if (compile_complete_) flags |= 2;
+  if (materialize_complete_) flags |= 4;
+  if (theory_has_existentials_) flags |= 8;
+  w.U8(flags);
+  w.Degradation(rewrite_degradation_);
+  w.Degradation(compile_degradation_);
+  w.Degradation(materialize_degradation_);
+  w.Str(stats_.termination_certificate);
+  w.U64(stats_.diagnostics);
+  // Symbol table, in dense-id order so re-interning reproduces ids.
+  w.U32(static_cast<uint32_t>(symbols_->NumRelations()));
+  for (RelationId id = 0; id < symbols_->NumRelations(); ++id) {
+    w.Str(symbols_->RelationName(id));
+    w.U32(static_cast<uint32_t>(symbols_->RelationArity(id)));
   }
+  w.U32(static_cast<uint32_t>(symbols_->NumConstants()));
+  for (uint32_t id = 0; id < symbols_->NumConstants(); ++id) {
+    w.Str(symbols_->ConstantName(Term::Constant(id)));
+  }
+  w.U32(static_cast<uint32_t>(symbols_->NumVariables()));
+  for (uint32_t id = 0; id < symbols_->NumVariables(); ++id) {
+    w.Str(symbols_->VariableName(Term::Variable(id)));
+  }
+  w.U32(symbols_->NumNulls());
+  w.TheoryRec(normal_);
+  w.TheoryRec(weakly_guarded_);
+  w.TheoryRec(program_ == nullptr ? Theory() : program_->theory());
+  w.DatabaseRec(edb_);
+  w.DatabaseRec(model_);
+  // Sorted for byte-stable images (the set iterates in hash order).
+  std::vector<uint32_t> grounded(grounded_constants_.begin(),
+                                 grounded_constants_.end());
+  std::sort(grounded.begin(), grounded.end());
+  w.U32(static_cast<uint32_t>(grounded.size()));
+  for (uint32_t bits : grounded) w.U32(bits);
   const std::vector<uint8_t>& payload = w.bytes();
 
   Writer image;
@@ -388,7 +382,6 @@ Status PreparedKb::SaveSnapshot(const std::string& path) const {
     std::remove(tmp.c_str());
     return Status::Error("snapshot: cannot rename " + tmp + " to " + path);
   }
-  std::lock_guard<std::mutex> slock(stats_mu_);
   ++stats_.snapshot_saves;
   return Status::Ok();
 }
@@ -461,7 +454,7 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
     std::string name = r.Str();
     int arity = static_cast<int>(r.U32());
     if (!r.ok()) break;
-    if (symbols->HasRelation(name) || arity < -1) {
+    if (symbols->FindRelation(name) != kUnknownRelation || arity < -1) {
       return CorruptError(path, "corrupt payload");
     }
     symbols->Relation(name, arity);
@@ -550,18 +543,16 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
         std::make_unique<DatalogProgram>(std::move(program).value());
     kb->BuildDependencyIndex();
   }
-  {
-    std::lock_guard<std::mutex> slock(kb->stats_mu_);
-    kb->stats_.snapshot_loads = 1;
-    kb->stats_.model_atoms = kb->model_.size();
-    kb->stats_.datalog_rules = kb->DatalogRulesLocked();
-    kb->stats_.materialization_strategy =
-        kb->mode_ == Mode::kChaseMaterialized ? "chase" : "datalog";
-    kb->stats_.termination_certificate = std::move(certificate_kind);
-    kb->stats_.diagnostics = diagnostics;
-    DegradationReason reason = kb->DegradationLocked();
-    if (reason.degraded()) kb->stats_.last_degradation = reason;
-  }
+  ServiceStats& stats = kb->stats_;
+  stats.snapshot_loads = 1;
+  stats.model_atoms = kb->model_.size();
+  stats.datalog_rules = kb->datalog_rules();
+  stats.materialization_strategy =
+      kb->mode_ == Mode::kChaseMaterialized ? "chase" : "datalog";
+  stats.termination_certificate = std::move(certificate_kind);
+  stats.diagnostics = diagnostics;
+  DegradationReason reason = kb->degradation();
+  if (reason.degraded()) stats.last_degradation = reason;
   return kb;
 }
 

@@ -35,6 +35,14 @@ struct KbQueryOptions {
   ExpansionOptions expansion;
   SaturationOptions saturation;
   GroundingOptions grounding;
+
+  // Caps the rewrite, saturation and grounding stages at `max_rules`
+  // rules each; 0 keeps the defaults.
+  void CapRules(size_t max_rules) {
+    if (max_rules == 0) return;
+    expansion.max_rules = saturation.max_rules = grounding.max_rules =
+        max_rules;
+  }
 };
 
 struct KbQueryResult {

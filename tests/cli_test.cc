@@ -6,6 +6,8 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #ifndef GEREL_CLI_PATH
@@ -506,6 +508,41 @@ CommandResult RunRaw(const std::string& command) {
   int status = pclose(pipe);
   result.exit_code = WEXITSTATUS(status);
   return result;
+}
+
+// Every `% gerel ...` command a data/*.gerel header suggests, except
+// those piped into another program, must run to its end: within 30 s
+// and with exit code 0, 2 or 3 (complete, truncated chase, sound but
+// possibly incomplete), stdin at EOF.
+TEST(CliTest, DataHeaderCommandsRun) {
+  const std::string data_dir = GEREL_DATA_DIR;
+  size_t commands = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(data_dir)) {
+    if (entry.path().extension() != ".gerel") continue;
+    std::ifstream in(entry.path());
+    std::string line;
+    while (std::getline(in, line)) {
+      const std::string prefix = "gerel ";
+      size_t at = line.find(prefix);
+      if (line.rfind("%", 0) != 0 || at == std::string::npos ||
+          line.find_first_not_of("% ") != at ||
+          line.find('|') != std::string::npos) {
+        continue;
+      }
+      std::string args = line.substr(at + prefix.size());
+      for (size_t p = 0; (p = args.find("data/", p)) != std::string::npos;
+           p += data_dir.size() + 1) {
+        args.replace(p, 5, data_dir + "/");
+      }
+      ++commands;
+      CommandResult r =
+          RunRaw("timeout 30 " + std::string(GEREL_CLI_PATH) + " " + args +
+                 " < /dev/null > /dev/null 2>&1");
+      EXPECT_TRUE(r.exit_code == 0 || r.exit_code == 2 || r.exit_code == 3)
+          << line << ": exit " << r.exit_code;
+    }
+  }
+  EXPECT_GE(commands, 13u);
 }
 
 // --- Resource governance (--timeout-ms) and graceful degradation ---

@@ -21,8 +21,8 @@ TEST(SymbolTableCopyTest, CopiesAreIndependent) {
   a.Relation("r", 2);
   SymbolTable b = a;
   RelationId in_b = b.Relation("only_in_b", 1);
-  EXPECT_TRUE(b.HasRelation("only_in_b"));
-  EXPECT_FALSE(a.HasRelation("only_in_b"));
+  EXPECT_NE(b.FindRelation("only_in_b"), kUnknownRelation);
+  EXPECT_EQ(a.FindRelation("only_in_b"), kUnknownRelation);
   EXPECT_EQ(b.RelationName(in_b), "only_in_b");
 }
 

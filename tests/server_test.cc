@@ -1,9 +1,10 @@
 // Serving-layer tests (ctest label `serving`): the JSON codec, wire
-// decode/encode, the multi-tenant dispatcher, and loopback-socket
-// integration against a live SocketServer — including the differential
-// check that socket answers are byte-identical to an in-process
-// PreparedKb over the same program, at 1 and 8 client threads, and a
-// mixed query/assert hammer sized for TSan.
+// decode/encode, the multi-tenant dispatcher (including queries that
+// write nothing to the tenant, and 4 readers with 1 writer on one
+// tenant), and loopback-socket integration against a live SocketServer —
+// including the differential check that socket answers are
+// byte-identical to an in-process PreparedKb over the same program, at 1
+// and 8 client threads, and a mixed query/assert hammer sized for TSan.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -12,10 +13,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -55,7 +60,7 @@ TEST(JsonTest, ParseScalars) {
   auto v = JsonValue::Parse("{\"a\": 1, \"b\": true, \"c\": null, "
                             "\"d\": \"x\", \"e\": -2.5}");
   ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value().Get("a")->as_int(), 1);
+  EXPECT_EQ(v.value().Get("a")->as_number(), 1);
   EXPECT_TRUE(v.value().Get("b")->as_bool());
   EXPECT_TRUE(v.value().Get("c")->is_null());
   EXPECT_EQ(v.value().Get("d")->as_string(), "x");
@@ -144,6 +149,52 @@ TEST(WireTest, DecodeRejectsMissingOp) {
   auto req = DecodeRequest(frame.value());
   ASSERT_FALSE(req.ok());
   EXPECT_EQ(req.status().message().rfind("bad_request: ", 0), 0u);
+}
+
+// Request integers arrive as JSON doubles: only integral values within
+// ±(2^53 - 1) are accepted, so the id a reply echoes is the one sent.
+TEST(WireTest, IdMustBeAnExactInteger) {
+  auto decode = [](const std::string& id) {
+    auto frame = JsonValue::Parse("{\"op\": \"stats\", \"id\": " + id + "}");
+    EXPECT_TRUE(frame.ok()) << id;
+    return DecodeRequest(frame.value());
+  };
+  for (const char* bad : {"1e300", "-1e19", "2.7", "9007199254740993",
+                          "-9007199254740993", "\"7\"", "true"}) {
+    auto req = decode(bad);
+    ASSERT_FALSE(req.ok()) << bad;
+    EXPECT_EQ(req.status().message().rfind("bad_request: ", 0), 0u)
+        << req.status().message();
+  }
+  for (int64_t good : {int64_t{9007199254740991}, int64_t{-9007199254740991},
+                       int64_t{0}, int64_t{-3}}) {
+    auto req = decode(std::to_string(good));
+    ASSERT_TRUE(req.ok()) << good;
+    EXPECT_EQ(req.value().id, good);
+    DispatchOutcome out;
+    std::string echoed = EncodeResponse(out, true, req.value().id);
+    EXPECT_NE(echoed.find("\"id\": " + std::to_string(good) + ","),
+              std::string::npos)
+        << echoed;
+  }
+}
+
+TEST(WireTest, MaxRulesMustBeANonNegativeExactInteger) {
+  auto decode = [](const std::string& max_rules) {
+    auto frame = JsonValue::Parse(
+        "{\"op\": \"prepare\", \"program\": \"p(a).\", \"max_rules\": " +
+        max_rules + "}");
+    EXPECT_TRUE(frame.ok()) << max_rules;
+    return DecodeRequest(frame.value());
+  };
+  for (const char* bad : {"-1", "1.5", "1e300", "9007199254740993"}) {
+    auto req = decode(bad);
+    ASSERT_FALSE(req.ok()) << bad;
+    EXPECT_EQ(req.status().message().rfind("bad_request: ", 0), 0u);
+  }
+  auto req = decode("250");
+  ASSERT_TRUE(req.ok());
+  EXPECT_EQ(req.value().max_rules, 250u);
 }
 
 TEST(WireTest, ProtocolErrorShape) {
@@ -257,6 +308,220 @@ TEST(DispatcherTest, DropUnregistersTenant) {
   EXPECT_EQ(b.Query("tc", "t(X, Y) -> q(X, Y)").error_code, kErrUnknownKb);
 }
 
+// --- Queries write nothing (DESIGN.md §7) ---
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::vector<std::string> Answers(const DispatchOutcome& out) {
+  EXPECT_TRUE(out.ok) << out.error_message;
+  return out.query.answers;
+}
+
+TEST(DispatcherTest, QueriesLeaveTheSymbolTableAndSnapshotUnchanged) {
+  Backend b;
+  ASSERT_TRUE(b.Prepare("tc", kTcProgram).ok);
+  const SymbolTable& syms = *b.registry.Find("tc")->symbols;
+  const size_t relations = syms.NumRelations();
+  const size_t constants = syms.NumConstants();
+  const size_t variables = syms.NumVariables();
+  const size_t nulls = syms.NumNulls();
+  auto save = [&](const std::string& file) {
+    WireRequest req;
+    req.op = Op::kSave;
+    req.kb = "tc";
+    req.path = ::testing::TempDir() + file;
+    EXPECT_TRUE(b.dispatcher.Dispatch(req).ok);
+    std::string bytes = FileBytes(req.path);
+    std::remove(req.path.c_str());
+    return bytes;
+  };
+  const std::string before = save("queries_write_nothing_before.snap");
+  for (int i = 0; i < 10000; ++i) {
+    // Fresh variables, constants, named nulls, body relations and head
+    // names in every query.
+    const std::string k = std::to_string(i);
+    const std::string cqs[] = {
+        "t(X" + k + ", Y" + k + ") -> h" + k + "(X" + k + ", c" + k + ")",
+        "e(c" + k + ", Y" + k + ") -> h" + k + "(Y" + k + ")",
+        "e(_z" + k + ", Y" + k + ") -> h" + k + "(Y" + k + ", _w" + k + ")",
+        "r" + k + "(X" + k + ") -> h" + k + "(X" + k + ")",
+    };
+    DispatchOutcome q = b.Query("tc", cqs[i % 4]);
+    ASSERT_TRUE(q.ok) << cqs[i % 4] << ": " << q.error_message;
+  }
+  EXPECT_EQ(syms.NumRelations(), relations);
+  EXPECT_EQ(syms.NumConstants(), constants);
+  EXPECT_EQ(syms.NumVariables(), variables);
+  EXPECT_EQ(syms.NumNulls(), nulls);
+  EXPECT_EQ(save("queries_write_nothing_after.snap"), before);
+}
+
+TEST(DispatcherTest, QueryHeadNameAndArityAreFree) {
+  Backend b;
+  ASSERT_TRUE(b.Prepare("tc", kTcProgram).ok);
+  EXPECT_EQ(Answers(b.Query("tc", "t(X, Y) -> ans(X, Y)")).size(), 6u);
+  EXPECT_EQ(Answers(b.Query("tc", "t(X, Y) -> ans(X)")),
+            (std::vector<std::string>{"ans(a)", "ans(b)", "ans(c)"}));
+  // A head may reuse a tenant relation's name at another arity.
+  EXPECT_EQ(Answers(b.Query("tc", "e(X, Y) -> t(X)")),
+            (std::vector<std::string>{"t(a)", "t(b)", "t(c)"}));
+  // A known body relation keeps its arity.
+  EXPECT_EQ(b.Query("tc", "t(X) -> q(X)").error_code, kErrParse);
+}
+
+TEST(DispatcherTest, UnknownNamesAnswerNothingAndStayFree) {
+  Backend b;
+  ASSERT_TRUE(b.Prepare("tc", kTcProgram).ok);
+  DispatchOutcome q = b.Query("tc", "foo(X) -> q(X)");
+  EXPECT_TRUE(Answers(q).empty());
+  EXPECT_TRUE(q.query.complete);
+  EXPECT_TRUE(Answers(b.Query("tc", "t(zz, Y) -> q(Y)")).empty());
+  // The query did not declare foo/1, so foo/2 facts are welcome.
+  DispatchOutcome a = b.Assert("tc", "foo(a, b)");
+  ASSERT_TRUE(a.ok) << a.error_message;
+  EXPECT_EQ(Answers(b.Query("tc", "foo(X, Y) -> q(X, Y)")),
+            (std::vector<std::string>{"q(a, b)"}));
+
+  // `complete` is computed as for any body: an unknown constant on an
+  // affected position forfeits it, an unknown relation does not.
+  TenantRegistry::Config config;
+  config.kb_options.planner = false;
+  Backend wg(config);
+  ASSERT_TRUE(wg.Prepare("wg", kWgProgram).ok);
+  EXPECT_FALSE(wg.Query("wg", "e(X, Y) -> q(X)").query.complete);
+  q = wg.Query("wg", "e(X, zz) -> q(X)");
+  EXPECT_TRUE(Answers(q).empty());
+  EXPECT_FALSE(q.query.complete);
+  q = wg.Query("wg", "gen(X), foo(X) -> q(X)");
+  EXPECT_TRUE(Answers(q).empty());
+  EXPECT_TRUE(q.query.complete);
+}
+
+TEST(DispatcherTest, HeadConstantsRenderByName) {
+  Backend b;
+  ASSERT_TRUE(b.Prepare("tc", kTcProgram).ok);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(Answers(b.Query("tc", "t(X, Y) -> ans(X, zzz)")),
+              (std::vector<std::string>{"ans(a, zzz)", "ans(b, zzz)",
+                                        "ans(c, zzz)"}));
+    EXPECT_EQ(Answers(b.Query("tc", "e(X, Y) -> ans(a, X)")),
+              (std::vector<std::string>{"ans(a, a)", "ans(a, b)",
+                                        "ans(a, c)"}));
+  }
+}
+
+TEST(DispatcherTest, CacheKeysKeepBodiesApart) {
+  Backend b;
+  ASSERT_TRUE(b.Prepare("tc", kTcProgram).ok);
+  const std::vector<std::string> t_reversed = {
+      "t(b, a)", "t(c, a)", "t(c, b)", "t(d, a)", "t(d, b)", "t(d, c)"};
+  const std::vector<std::string> e_reversed = {"e(b, a)", "e(c, b)",
+                                               "e(d, c)"};
+  for (int round = 0; round < 2; ++round) {
+    DispatchOutcome t = b.Query("tc", "t(X, Y) -> t(Y, X)");
+    DispatchOutcome e = b.Query("tc", "e(X, Y) -> e(Y, X)");
+    EXPECT_EQ(Answers(t), t_reversed);
+    EXPECT_EQ(Answers(e), e_reversed);
+    EXPECT_EQ(t.query.cache_hit, round == 1);
+    EXPECT_EQ(e.query.cache_hit, round == 1);
+  }
+  // Heads the tenant does not know key by their argument pattern: a
+  // second name over the same body hits, and renders its own name.
+  EXPECT_FALSE(b.Query("tc", "e(X, Y) -> p1(Y, X)").query.cache_hit);
+  DispatchOutcome p2 = b.Query("tc", "e(X, Y) -> p2(Y, X)");
+  EXPECT_TRUE(p2.query.cache_hit);
+  EXPECT_EQ(Answers(p2), (std::vector<std::string>{"p2(b, a)", "p2(c, b)",
+                                                   "p2(d, c)"}));
+  EXPECT_FALSE(b.Query("tc", "t(X, Y) -> p2(Y, X)").query.cache_hit);
+}
+
+// 4 reader threads and 1 writer on one tenant, all through
+// Dispatcher::Dispatch: the tenant's mutex is the only lock a request
+// takes inside the tenant, so this is the race detector's target for the
+// serving layer (tools/run_sanitizers.sh thread -L serving).
+TEST(DispatcherTest, ConcurrentReadersAndWriterOnOneTenant) {
+  constexpr int kReaders = 4;
+  constexpr int kQueriesPerReader = 200;
+  constexpr int kAsserts = 24;
+  const std::string program =
+      "e(X, Y) -> t(X, Y).\n"
+      "e(X, Y), t(Y, Z) -> t(X, Z).\n"
+      "e(n0, n1). e(n1, n2).\n";
+  std::string final_program = program;
+  std::vector<std::string> facts;
+  for (int i = 2; i < 2 + kAsserts; ++i) {
+    facts.push_back("e(" + IndexedName("n", i) + ", " +
+                    IndexedName("n", i + 1) + ")");
+    final_program += facts.back() + ".\n";
+  }
+  Backend b;
+  ASSERT_TRUE(b.Prepare("tc", program).ok);
+  const std::string cq = "t(U, V) -> q(U, V)";
+  const std::vector<std::string> at_start = Answers(b.Query("tc", cq));
+
+  std::atomic<int> violations{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      size_t last_size = 0;
+      for (int i = 0; i < kQueriesPerReader; ++i) {
+        const bool closure = (r + i) % 3 != 0;
+        DispatchOutcome got =
+            b.Query("tc", closure ? cq : "e(U, V) -> q2(U, V)");
+        if (!got.ok) {
+          ++violations;
+          continue;
+        }
+        if (!closure) continue;
+        // The KB only grows, so answer sets are monotone per reader.
+        const std::vector<std::string>& answers = got.query.answers;
+        if (answers.size() < last_size) ++violations;
+        last_size = answers.size();
+        std::set<std::string> now(answers.begin(), answers.end());
+        for (const std::string& a : at_start) {
+          if (now.count(a) == 0) ++violations;
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (const std::string& fact : facts) {
+      if (!b.Assert("tc", fact).ok) ++violations;
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : readers) t.join();
+  writer.join();
+  EXPECT_EQ(violations.load(), 0);
+
+  // Steady state: the hammered tenant's model is a fresh prepare's.
+  Backend fresh;
+  ASSERT_TRUE(fresh.Prepare("tc", final_program).ok);
+  auto rendered_model = [](Backend& backend) {
+    std::shared_ptr<Tenant> tenant = backend.registry.Find("tc");
+    std::set<std::string> out;
+    for (const Atom& a : tenant->kb->ModelAtoms()) {
+      out.insert(ToString(a, *tenant->symbols));
+    }
+    return out;
+  };
+  EXPECT_EQ(rendered_model(b), rendered_model(fresh));
+  EXPECT_EQ(Answers(b.Query("tc", cq)), Answers(fresh.Query("tc", cq)));
+  // Every assert and every query was counted.
+  WireRequest stats;
+  stats.op = Op::kStats;
+  stats.kb = "tc";
+  ServiceStats counted = b.dispatcher.Dispatch(stats).stats.total;
+  EXPECT_EQ(counted.asserts, static_cast<uint64_t>(kAsserts));
+  EXPECT_EQ(counted.queries,
+            static_cast<uint64_t>(2 + kReaders * kQueriesPerReader));
+}
+
 // --- Loopback socket integration ---
 
 class LineClient {
@@ -365,10 +630,10 @@ TEST(SocketServerTest, HappyPathQuery) {
   EXPECT_EQ(resp.value().Get("status")->as_string(), "ok");
   EXPECT_EQ(resp.value().Get("op")->as_string(), "query");
   EXPECT_EQ(resp.value().Get("kb")->as_string(), "tc");
-  EXPECT_EQ(resp.value().Get("count")->as_int(), 6);
+  EXPECT_EQ(resp.value().Get("count")->as_number(), 6);
   EXPECT_TRUE(resp.value().Get("complete")->as_bool());
-  EXPECT_EQ(resp.value().Get("epoch")->as_int(), 1);
-  EXPECT_EQ(resp.value().Get("seq")->as_int(), 0);
+  EXPECT_EQ(resp.value().Get("epoch")->as_number(), 1);
+  EXPECT_EQ(resp.value().Get("seq")->as_number(), 0);
 }
 
 TEST(SocketServerTest, EchoesCorrelationId) {
@@ -380,7 +645,7 @@ TEST(SocketServerTest, EchoesCorrelationId) {
       "{\"op\": \"query\", \"kb\": \"tc\", "
       "\"cq\": \"t(X, Y) -> q(X, Y)\", \"id\": 42}");
   ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.value().Get("id")->as_int(), 42);
+  EXPECT_EQ(resp.value().Get("id")->as_number(), 42);
 }
 
 TEST(SocketServerTest, MalformedFrameKeepsConnectionAlive) {
@@ -654,22 +919,22 @@ TEST(SocketServerTest, MixedReadWriteHammer) {
   // surviving fresh edge on top of the program's 3.
   auto tc = client.Call(QueryFrame("tc", "e(X, Y) -> q(X, Y)"));
   ASSERT_TRUE(tc.ok());
-  EXPECT_EQ(tc.value().Get("count")->as_int(), 3 + 4);
+  EXPECT_EQ(tc.value().Get("count")->as_number(), 3 + 4);
   // The planner serves wg from the chase model: each of the three
   // *distinct* new edges forced one re-chase (epoch bump), while every
   // duplicate assert was a no-op delta — regardless of interleaving.
   auto wg = client.Call(QueryFrame("wg", "gen(X) -> q(X)"));
   ASSERT_TRUE(wg.ok());
-  EXPECT_EQ(wg.value().Get("count")->as_int(), 1);
-  EXPECT_EQ(wg.value().Get("epoch")->as_int(), 4);
+  EXPECT_EQ(wg.value().Get("count")->as_number(), 1);
+  EXPECT_EQ(wg.value().Get("epoch")->as_number(), 4);
   // ...and one genuinely new fact re-chases again: the epoch bumps and
   // seq resets, the full-resync signal replicas key on.
   auto regrounded = client.Call(AssertFrame("wg", "gen(z9)"));
   ASSERT_TRUE(regrounded.ok());
   ASSERT_EQ(regrounded.value().Get("status")->as_string(), "ok");
   EXPECT_FALSE(regrounded.value().Get("delta")->as_bool());
-  EXPECT_EQ(regrounded.value().Get("epoch")->as_int(), 5);
-  EXPECT_EQ(regrounded.value().Get("seq")->as_int(), 0);
+  EXPECT_EQ(regrounded.value().Get("epoch")->as_number(), 5);
+  EXPECT_EQ(regrounded.value().Get("seq")->as_number(), 0);
 }
 
 TEST(SocketServerTest, ShutdownSavesDirtyTenantsForWarmRestart) {
@@ -688,7 +953,7 @@ TEST(SocketServerTest, ShutdownSavesDirtyTenantsForWarmRestart) {
     auto asserted = client.Call(AssertFrame("tc", "e(d, e9)"));
     ASSERT_TRUE(asserted.ok());
     ASSERT_EQ(asserted.value().Get("status")->as_string(), "ok");
-    cold_epoch = asserted.value().Get("epoch")->as_int();
+    cold_epoch = asserted.value().Get("epoch")->as_number();
     client.Close();
     // Graceful shutdown: drain, then persist dirty tenants.
     live.server.Shutdown();
@@ -720,7 +985,7 @@ TEST(SocketServerTest, ReplSessionSharesDispatchCore) {
   ASSERT_TRUE(client.connected());
   auto resp = client.Call(QueryFrame("tc", "t(X, Y) -> q(X, Y)"));
   ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.value().Get("count")->as_int(), 6);
+  EXPECT_EQ(resp.value().Get("count")->as_number(), 6);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // round-trip fidelity, corruption/version/fingerprint detection at load,
 // and the re-materialization fallback.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -22,8 +23,10 @@ class SnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const char* tmp = std::getenv("TMPDIR");
+    // The pid keeps parallel test processes apart: the fixture's address
+    // alone repeats from one process to the next.
     path_ = std::string(tmp != nullptr && tmp[0] != '\0' ? tmp : "/tmp") +
-            "/gerel-snapshot-test-" +
+            "/gerel-snapshot-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".snap";
   }
   void TearDown() override {

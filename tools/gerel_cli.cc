@@ -119,17 +119,6 @@ BudgetLimits CliBudget(const ParsedArgs& args) {
   return limits;
 }
 
-// FNV-1a over the program text: the snapshot fingerprint.
-uint64_t FingerprintText(const std::string& text) {
-  uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  // 0 means "unchecked"; avoid colliding with it.
-  return h == 0 ? 1 : h;
-}
-
 bool ParseFlag(const char* arg, const char* name, long* out) {
   size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
@@ -384,10 +373,10 @@ int Answer(const ParsedArgs& args) {
   if (!text.ok()) return Fail(text.status().message());
   auto program = ParseProgram(text.value(), &syms);
   if (!program.ok()) return Fail(program.status().message());
-  if (!syms.HasRelation(args.relation)) {
+  RelationId q = syms.FindRelation(args.relation);
+  if (q == kUnknownRelation) {
     return Fail("relation not found: " + args.relation);
   }
-  RelationId q = syms.Relation(args.relation);
   std::set<std::vector<Term>> answers;
   bool incomplete = false;
   BudgetLimits limits = CliBudget(args);
@@ -466,16 +455,6 @@ int Answer(const ParsedArgs& args) {
   return incomplete ? 3 : 0;
 }
 
-const char* ModeName(PreparedKb::Mode mode) {
-  switch (mode) {
-    case PreparedKb::Mode::kDatalog: return "datalog";
-    case PreparedKb::Mode::kGuarded: return "guarded";
-    case PreparedKb::Mode::kWeaklyGuarded: return "weakly guarded";
-    case PreparedKb::Mode::kChaseMaterialized: return "chase";
-  }
-  return "?";
-}
-
 // Longest serve input line accepted; longer lines are drained and
 // reported instead of ballooning memory.
 constexpr size_t kMaxServeLine = size_t{1} << 20;
@@ -507,13 +486,10 @@ int Serve(const ParsedArgs& args) {
 #endif
   auto text = ReadFile(args.file.c_str());
   if (!text.ok()) return Fail(text.status().message());
-  uint64_t fingerprint = FingerprintText(text.value());
+  uint64_t fingerprint =
+      server::TenantRegistry::FingerprintText(text.value());
   PreparedKbOptions options;
-  if (args.max_rules > 0) {
-    options.pipeline.expansion.max_rules = args.max_rules;
-    options.pipeline.saturation.max_rules = args.max_rules;
-    options.pipeline.grounding.max_rules = args.max_rules;
-  }
+  options.pipeline.CapRules(args.max_rules);
   options.pipeline.saturation.num_threads = args.threads;
   options.budget = CliBudget(args);
   SymbolTable syms;

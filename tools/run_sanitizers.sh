@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Builds and runs the tier-1 suite under the sanitizers:
-#   GEREL_SANITIZE=thread   (TSan — data races in the worker lanes)
+#   GEREL_SANITIZE=thread   (TSan — data races in the saturation lanes
+#                            and the server's worker pool)
 #   GEREL_SANITIZE=address  (ASan+UBSan — memory and UB, incl. the
 #                            snapshot reader's bounds checks)
 #
@@ -11,8 +12,10 @@
 # By default the full ctest suite runs; pass extra ctest args to narrow,
 # e.g. `tools/run_sanitizers.sh all -L robustness` for just the
 # fault/budget/snapshot tests, or `thread -L serving` to put the
-# socket server's worker pool and the mixed query/assert hammer under
-# the race detector (the loadgen smoke drops its throughput floor in
+# socket server's worker pool, the 8-client query/assert/retract socket
+# hammer and the 4-reader, 1-writer dispatcher test on one tenant (whose
+# mutex is the only lock a request takes inside the tenant) under the
+# race detector (the loadgen smoke drops its throughput floor in
 # sanitized builds). Exits non-zero if any configuration fails to
 # build or any selected test fails.
 set -euo pipefail
@@ -33,9 +36,11 @@ run_one() {
   local mode="$1"; shift
   local build="$repo/build-${mode:0:1}san"
   echo "== GEREL_SANITIZE=$mode ($build)"
+  # run_one is called as `run_one ... || status=1`, where errexit is off:
+  # a failed build must stop here, not test whatever built last time.
   cmake -B "$build" -S "$repo" -DGEREL_SANITIZE="$mode" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$build" -j "$(nproc)"
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null || return 1
+  cmake --build "$build" -j "$(nproc)" || return 1
   # Second-guessing the sanitizer runtime helps nobody: abort on the
   # first finding so the failing test names the defect.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
