@@ -39,6 +39,13 @@ struct Atom {
 
   // All terms: args then annotation, in position order.
   std::vector<Term> AllTerms() const;
+  // The term at position `pos` of that order.
+  Term& TermAt(size_t pos) {
+    return pos < args.size() ? args[pos] : annotation[pos - args.size()];
+  }
+  Term TermAt(size_t pos) const {
+    return pos < args.size() ? args[pos] : annotation[pos - args.size()];
+  }
   // Distinct variables among the argument positions only. Guard and
   // frontier checks use argument variables (annotation terms never count
   // as "occurring in" an atom for guardedness; see Def "safely annotated").

@@ -1,5 +1,6 @@
 #include "core/symbol_table.h"
 
+#include <algorithm>
 #include <string>
 
 #include "core/check.h"
@@ -96,6 +97,20 @@ Term SymbolTable::NamedNull(std::string_view name) {
   uint32_t id = next_null_++;
   named_nulls_.emplace(std::string(name), id);
   return Term::Null(id);
+}
+
+std::vector<std::pair<std::string, uint32_t>> SymbolTable::NamedNulls()
+    const {
+  std::vector<std::pair<std::string, uint32_t>> out(named_nulls_.begin(),
+                                                    named_nulls_.end());
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+  return out;
+}
+
+bool SymbolTable::RestoreNamedNull(const std::string& name, uint32_t id) {
+  if (id >= next_null_) return false;
+  return named_nulls_.emplace(name, id).second;
 }
 
 std::string SymbolTable::TermName(Term t) const {

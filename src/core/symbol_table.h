@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/term.h"
@@ -67,6 +68,12 @@ class SymbolTable {
   void RestoreNullCounter(uint32_t n) {
     if (n > next_null_) next_null_ = n;
   }
+  // The (name, id) pairs NamedNull interned, sorted by id.
+  std::vector<std::pair<std::string, uint32_t>> NamedNulls() const;
+  // Re-interns a persisted named null at its original id. False, and no
+  // change, when the name is already interned or `id` is not below the
+  // null counter (restore the counter first).
+  bool RestoreNamedNull(const std::string& name, uint32_t id);
 
   // Human-readable rendering of any ground or non-ground term.
   std::string TermName(Term t) const;

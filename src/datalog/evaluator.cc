@@ -11,6 +11,14 @@ Result<DatalogResult> EvaluateDatalog(const Theory& theory,
                                       const Database& input,
                                       SymbolTable* symbols,
                                       const DatalogOptions& options) {
+  // DatalogProgram reads existential rules as Skolem rules, which only
+  // terminate on a certified theory; a one-shot call has no certificate.
+  for (const Rule& rule : theory.rules()) {
+    if (!rule.EVars().empty()) {
+      return Status::Error("EvaluateDatalog requires Datalog rules "
+                           "(no existential variables)");
+    }
+  }
   Result<DatalogProgram> program =
       DatalogProgram::Compile(theory, symbols, options);
   if (!program.ok()) return program.status();

@@ -1,11 +1,31 @@
 #include "datalog/program.h"
 
+#include <unordered_map>
+
 #include "core/check.h"
 #include "core/join_plan.h"
 
 namespace gerel {
 
 namespace {
+
+struct TermsHash {
+  size_t operator()(const std::vector<Term>& ts) const {
+    size_t h = 0xC0FFEE;
+    for (Term t : ts) {
+      h ^= TermHash()(t) + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+    }
+    return h;
+  }
+};
+
+// One existential rule's share of the Skolem table: frontier image
+// (FVars() order) -> nulls (EVars() order).
+struct SkolemRule {
+  std::vector<Term> fvars;
+  size_t num_evars = 0;
+  std::unordered_map<std::vector<Term>, std::vector<Term>, TermsHash> nulls;
+};
 
 // Evaluation of one rule given a delta window [delta_begin, delta_end) of
 // the database; negative literals are checked against the full database
@@ -20,15 +40,33 @@ namespace {
 class RuleEvaluator {
  public:
   // `rule_id` is the rule's index in the backing theory, recorded into
-  // the optional SupportLog so retraction can rerun the rule later.
-  RuleEvaluator(const Rule& rule, uint32_t rule_id)
-      : rule_(&rule), rule_id_(rule_id) {
+  // the optional SupportLog so retraction can rerun the rule later. An
+  // existential rule passes its share of the Skolem table and the
+  // symbol table its nulls are minted from; a Datalog rule passes null.
+  RuleEvaluator(const Rule& rule, uint32_t rule_id, SkolemRule* skolem,
+                SymbolTable* symbols)
+      : rule_(&rule), rule_id_(rule_id), skolem_(skolem), symbols_(symbols) {
     for (const Literal& l : rule.body) {
       (l.negated ? negatives_ : positives_).push_back(l.atom);
     }
     // All plans compile on first use: translated programs carry hundreds
     // of rules whose body relations stay empty, and those never need one.
     seeded_.resize(positives_.size());
+    if (skolem_ != nullptr) {
+      // Where each head atom holds an existential variable: (flattened
+      // position, index into EVars()).
+      std::vector<Term> evars = rule.EVars();
+      for (const Atom& h : rule.head) {
+        std::vector<std::pair<uint32_t, uint32_t>> at;
+        std::vector<Term> terms = h.AllTerms();
+        for (uint32_t p = 0; p < terms.size(); ++p) {
+          for (uint32_t k = 0; k < evars.size(); ++k) {
+            if (terms[p] == evars[k]) at.emplace_back(p, k);
+          }
+        }
+        evar_positions_.push_back(std::move(at));
+      }
+    }
   }
 
   // Fires the rule for every homomorphism with at least one positive atom
@@ -39,6 +77,36 @@ class RuleEvaluator {
   size_t Evaluate(Database* db, size_t delta_begin, size_t delta_end,
                   bool restrict_to_delta, ExecutionBudget* budget,
                   SupportLog* slog) {
+    return skolem_ == nullptr
+               ? Run<false>(db, delta_begin, delta_end, restrict_to_delta,
+                            budget, slog)
+               : Run<true>(db, delta_begin, delta_end, restrict_to_delta,
+                           budget, slog);
+  }
+
+  // Returns the counters accumulated since the last call and resets them
+  // (the program keeps evaluators alive across passes and maintains its
+  // own cumulative totals).
+  RuleStats TakeStats() {
+    RuleStats out = stats_;
+    stats_ = RuleStats();
+    return out;
+  }
+
+ private:
+  struct CompiledRule {
+    JoinPlan plan;
+    std::vector<CompiledAtom> heads;
+    std::vector<CompiledAtom> negatives;
+    bool ready = false;
+  };
+
+  // Evaluate's body. The existential-rule steps are compiled out of the
+  // Datalog instantiation, so Datalog rules run no Skolem code at all.
+  template <bool kSkolem>
+  size_t Run(Database* db, size_t delta_begin, size_t delta_end,
+             bool restrict_to_delta, ExecutionBudget* budget,
+             SupportLog* slog) {
     size_t added = 0;
     const CompiledRule* firing = nullptr;
     auto fire = [&](const JoinExecutor& e) {
@@ -55,8 +123,15 @@ class RuleEvaluator {
         GEREL_CHECK(ground.IsDatabaseAtom());  // Safety guarantees this.
         if (db->Contains(ground)) return true;  // Blocked; keep enumerating.
       }
+      [[maybe_unused]] const std::vector<Term>* nulls = nullptr;
+      if constexpr (kSkolem) nulls = &SkolemNulls(e);
       for (const CompiledAtom& head : firing->heads) {
         Atom derived = e.Apply(head);
+        if constexpr (kSkolem) {
+          for (auto [pos, k] : evar_positions_[&head - firing->heads.data()]) {
+            derived.TermAt(pos) = (*nulls)[k];
+          }
+        }
         GEREL_CHECK(derived.IsDatabaseAtom());
         if (db->Insert(derived)) {
           ++added;
@@ -100,22 +175,20 @@ class RuleEvaluator {
     return added;
   }
 
-  // Returns the counters accumulated since the last call and resets them
-  // (the program keeps evaluators alive across passes and maintains its
-  // own cumulative totals).
-  RuleStats TakeStats() {
-    RuleStats out = stats_;
-    stats_ = RuleStats();
-    return out;
+  // The nulls of the current firing: the Skolem table's entry for its
+  // frontier image, minted on first sight.
+  const std::vector<Term>& SkolemNulls(const JoinExecutor& e) {
+    frontier_.clear();
+    for (Term v : skolem_->fvars) frontier_.push_back(e.Value(v));
+    auto it = skolem_->nulls.find(frontier_);
+    if (it != skolem_->nulls.end()) return it->second;
+    std::vector<Term> minted;
+    minted.reserve(skolem_->num_evars);
+    for (size_t k = 0; k < skolem_->num_evars; ++k) {
+      minted.push_back(symbols_->FreshNull());
+    }
+    return skolem_->nulls.emplace(frontier_, std::move(minted)).first->second;
   }
-
- private:
-  struct CompiledRule {
-    JoinPlan plan;
-    std::vector<CompiledAtom> heads;
-    std::vector<CompiledAtom> negatives;
-    bool ready = false;
-  };
 
   void Compile(const Rule& rule, CompiledRule* out, int pinned_first) {
     out->ready = true;
@@ -130,6 +203,11 @@ class RuleEvaluator {
 
   const Rule* rule_;  // Backing theory rule; outlives the evaluator.
   uint32_t rule_id_ = 0;
+  SkolemRule* skolem_ = nullptr;  // Owned by the program; null for Datalog.
+  SymbolTable* symbols_ = nullptr;
+  // Existential rules: per head atom, (position, evar index) pairs.
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> evar_positions_;
+  std::vector<Term> frontier_;  // Lookup scratch.
   std::vector<Atom> positives_;
   std::vector<Atom> negatives_;
   CompiledRule full_;
@@ -147,6 +225,9 @@ struct DatalogProgram::Rep {
   Stratification strat;
   bool has_negation = false;
   std::vector<RuleStats> rule_stats;               // Cumulative.
+  // The Skolem table, per rule index; null for Datalog rules. Evaluators
+  // point into it, and it persists across passes.
+  std::vector<std::unique_ptr<SkolemRule>> skolem;
   std::vector<std::vector<RuleEvaluator>> strata;  // Evaluators per stratum.
 
   // Runs all strata over *db. For a full pass the first round of each
@@ -213,13 +294,23 @@ Result<EvalPassStats> DatalogProgram::Rep::RunPass(Database* db,
 Result<DatalogProgram> DatalogProgram::Compile(Theory theory,
                                                SymbolTable* symbols,
                                                const DatalogOptions& options) {
-  for (const Rule& rule : theory.rules()) {
-    if (!rule.EVars().empty()) {
-      return Status::Error("EvaluateDatalog requires Datalog rules "
-                           "(no existential variables)");
-    }
+  const bool has_negation = theory.HasNegation();
+  std::vector<std::unique_ptr<SkolemRule>> skolem(theory.rules().size());
+  for (size_t ri = 0; ri < theory.rules().size(); ++ri) {
+    const Rule& rule = theory.rules()[ri];
     Status s = rule.Validate(*symbols);
     if (!s.ok()) return s;
+    std::vector<Term> evars = rule.EVars();
+    if (evars.empty()) continue;
+    // The Skolem reading is the semi-oblivious chase, which is
+    // negation-free (chase.h): nothing certifies a model that mixes both.
+    if (has_negation) {
+      return Status::Error(
+          "existential rules require a negation-free program");
+    }
+    skolem[ri] = std::make_unique<SkolemRule>();
+    skolem[ri]->fvars = rule.FVars();
+    skolem[ri]->num_evars = evars.size();
   }
   Result<Stratification> strat = Stratify(theory);
   if (!strat.ok()) return strat.status();
@@ -229,14 +320,16 @@ Result<DatalogProgram> DatalogProgram::Compile(Theory theory,
   rep->symbols = symbols;
   rep->options = options;
   rep->strat = std::move(strat).value();
-  rep->has_negation = rep->theory.HasNegation();
+  rep->has_negation = has_negation;
   rep->rule_stats.resize(rep->theory.rules().size());
+  rep->skolem = std::move(skolem);
   rep->strata.reserve(rep->strat.strata.size());
   for (const std::vector<uint32_t>& stratum : rep->strat.strata) {
     std::vector<RuleEvaluator> evaluators;
     evaluators.reserve(stratum.size());
     for (uint32_t ri : stratum) {
-      evaluators.emplace_back(rep->theory.rules()[ri], ri);
+      evaluators.emplace_back(rep->theory.rules()[ri], ri,
+                              rep->skolem[ri].get(), symbols);
     }
     rep->strata.push_back(std::move(evaluators));
   }
@@ -278,6 +371,43 @@ const DatalogOptions& DatalogProgram::options() const { return rep_->options; }
 bool DatalogProgram::has_negation() const { return rep_->has_negation; }
 const std::vector<RuleStats>& DatalogProgram::rule_stats() const {
   return rep_->rule_stats;
+}
+
+Status DatalogProgram::SeedSkolem(uint32_t rule, std::vector<Term> frontier,
+                                  std::vector<Term> nulls) {
+  if (rule >= rep_->skolem.size() || rep_->skolem[rule] == nullptr) {
+    return Status::Error("Skolem entry names no existential rule");
+  }
+  SkolemRule& sr = *rep_->skolem[rule];
+  if (frontier.size() != sr.fvars.size() || nulls.size() != sr.num_evars) {
+    return Status::Error(
+        "Skolem entry does not fit its rule's frontier and existentials");
+  }
+  if (!sr.nulls.emplace(std::move(frontier), std::move(nulls)).second) {
+    return Status::Error("duplicate Skolem entry");
+  }
+  return Status::Ok();
+}
+
+const std::vector<Term>* DatalogProgram::FindSkolem(
+    uint32_t rule, const std::vector<Term>& frontier) const {
+  if (rule >= rep_->skolem.size() || rep_->skolem[rule] == nullptr) {
+    return nullptr;
+  }
+  const SkolemRule& sr = *rep_->skolem[rule];
+  auto it = sr.nulls.find(frontier);
+  return it == sr.nulls.end() ? nullptr : &it->second;
+}
+
+void DatalogProgram::ForEachSkolem(
+    const std::function<void(uint32_t, const std::vector<Term>&,
+                             const std::vector<Term>&)>& visit) const {
+  for (uint32_t ri = 0; ri < rep_->skolem.size(); ++ri) {
+    if (rep_->skolem[ri] == nullptr) continue;
+    for (const auto& [frontier, nulls] : rep_->skolem[ri]->nulls) {
+      visit(ri, frontier, nulls);
+    }
+  }
 }
 
 }  // namespace gerel

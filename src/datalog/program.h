@@ -8,9 +8,22 @@
 // and, for negation-free programs, incremental extensions that re-derive
 // only the consequences of newly inserted atoms (semi-naive evaluation
 // seeded with the delta).
+//
+// Skolem programs: a negation-free program may contain existential rules.
+// Each existential variable is read as a Skolem function of the rule and
+// its frontier image, so the least model is the semi-oblivious chase
+// (chase.h) up to the names of the nulls. The program owns the Skolem
+// table: a firing of existential rule σ whose frontier variables
+// (Rule::FVars() order) map to ~t looks up (σ, ~t); on a miss it mints
+// one fresh null per existential variable (Rule::EVars() order) and
+// stores them, on a hit it reuses them. The table outlives every pass, so
+// a re-derived atom gets the same nulls back. Termination is the caller's
+// business: compile only theories whose Skolem chase is certified finite
+// (analyze/termination.h).
 #ifndef GEREL_DATALOG_PROGRAM_H_
 #define GEREL_DATALOG_PROGRAM_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,10 +50,11 @@ struct EvalPassStats {
 
 class DatalogProgram {
  public:
-  // Validates and compiles `theory`: all rules must be Datalog (no
-  // existential variables) and the program stratifiable. `symbols` must
-  // outlive the program. Join plans compile lazily on first use, exactly
-  // as in the one-shot evaluator.
+  // Validates and compiles `theory`: every rule safe, the program
+  // stratifiable, and existential rules only in a negation-free program.
+  // `symbols` must outlive the program (existential rules mint their
+  // nulls there). Join plans compile lazily on first use, exactly as in
+  // the one-shot evaluator.
   static Result<DatalogProgram> Compile(Theory theory, SymbolTable* symbols,
                                         const DatalogOptions& options =
                                             DatalogOptions());
@@ -75,6 +89,23 @@ class DatalogProgram {
   // Cumulative per-rule counters across every pass, indexed like
   // theory().rules().
   const std::vector<RuleStats>& rule_stats() const;
+
+  // --- Skolem table ------------------------------------------------------
+
+  // Records `nulls` as the image of (existential rule `rule`, frontier
+  // image `frontier`), so a later firing reuses them instead of minting.
+  // Used to adopt the nulls of a chase run or of a snapshot. Errors when
+  // `rule` is out of range or not existential, when the sizes differ
+  // from |fvars| and |evars|, or when the key is already present.
+  Status SeedSkolem(uint32_t rule, std::vector<Term> frontier,
+                    std::vector<Term> nulls);
+  // The nulls stored for (rule, frontier), or nullptr. Never mints.
+  const std::vector<Term>* FindSkolem(uint32_t rule,
+                                      const std::vector<Term>& frontier) const;
+  // Visits every entry as (rule, frontier, nulls), in no fixed order.
+  void ForEachSkolem(
+      const std::function<void(uint32_t, const std::vector<Term>&,
+                               const std::vector<Term>&)>& visit) const;
 
  private:
   struct Rep;

@@ -49,9 +49,33 @@ void Resolve(Atom* a, const SymbolTable& scratch, const SymbolTable& symbols) {
   for (Term& t : a->annotation) resolve(t);
 }
 
-// The parse error a parse of `text` into the tenant's table would report:
-// a reparse into a table seeded with the tenant's arities.
-std::string TenantParseError(const std::string& text,
+// Interns `a` from the request's `scratch` table into the tenant's
+// `symbols` in the order a parse would (annotation terms, then
+// arguments), so ids come out as if the text had been parsed there.
+void Intern(Atom* a, const SymbolTable& scratch, SymbolTable* symbols) {
+  auto intern = [&](Term& t) {
+    if (t.IsConstant()) t = symbols->Constant(scratch.ConstantName(t));
+    if (t.IsNull()) t = symbols->NamedNull(scratch.NamedNullName(t));
+  };
+  for (Term& t : a->annotation) intern(t);
+  for (Term& t : a->args) intern(t);
+  a->pred = symbols->Relation(scratch.RelationName(a->pred),
+                              static_cast<int>(a->arity()));
+}
+
+// Whether `a`'s relation, if the tenant knows it, has `a`'s arity.
+bool ArityFits(const Atom& a, const SymbolTable& scratch,
+               const SymbolTable& symbols) {
+  RelationId known = symbols.FindRelation(scratch.RelationName(a.pred));
+  int declared =
+      known == kUnknownRelation ? -1 : symbols.RelationArity(known);
+  return declared < 0 || declared == static_cast<int>(a.arity());
+}
+
+// The parse error a parse of `text` (a rule, or `facts`) into the
+// tenant's table would report: a reparse into a table seeded with the
+// tenant's arities.
+std::string TenantParseError(const std::string& text, bool facts,
                              const SymbolTable& scratch,
                              const SymbolTable& symbols) {
   SymbolTable seeded;
@@ -61,9 +85,11 @@ std::string TenantParseError(const std::string& text,
       seeded.Relation(scratch.RelationName(r), symbols.RelationArity(known));
     }
   }
-  Result<Rule> reparsed = ParseRule(text, &seeded);
-  return reparsed.ok() ? "query does not match the kb's relation arities"
-                       : reparsed.status().message();
+  Status reparsed = facts ? ParseDatabase(text, &seeded).status()
+                          : ParseRule(text, &seeded).status();
+  if (!reparsed.ok()) return reparsed.message();
+  return facts ? "facts do not match the kb's relation arities"
+               : "query does not match the kb's relation arities";
 }
 
 // One answer as the scratch-table `head` states it: variables show the
@@ -116,19 +142,15 @@ DispatchOutcome Dispatcher::Query(const WireRequest& req,
   // The head as written, for rendering (ParseRule yields at least one).
   const Atom head = parse_ok ? cq.head[0] : Atom();
   for (Literal& l : cq.body) {
-    Resolve(&l.atom, scratch, symbols);
     // A known body relation keeps its arity; the head's is free.
-    int declared = l.atom.pred == kUnknownRelation
-                       ? -1
-                       : symbols.RelationArity(l.atom.pred);
-    if (declared >= 0 && declared != static_cast<int>(l.atom.arity())) {
-      parse_ok = false;
-    }
+    if (!ArityFits(l.atom, scratch, symbols)) parse_ok = false;
+    Resolve(&l.atom, scratch, symbols);
   }
   for (Atom& h : cq.head) Resolve(&h, scratch, symbols);
   if (!parse_ok) {
-    return DispatchOutcome::Error(Op::kQuery, name, kErrParse,
-                                  TenantParseError(req.cq, scratch, symbols));
+    return DispatchOutcome::Error(
+        Op::kQuery, name, kErrParse,
+        TenantParseError(req.cq, /*facts=*/false, scratch, symbols));
   }
   Result<PreparedQueryResult> answers = tenant->kb->Query(cq);
   if (!answers.ok()) {
@@ -153,13 +175,33 @@ DispatchOutcome Dispatcher::Write(const WireRequest& req,
                                   const std::string& name) {
   std::shared_ptr<Tenant> tenant = registry_->Find(name);
   if (tenant == nullptr) return UnknownKb(req.op, name);
-  std::lock_guard<std::mutex> lock(tenant->mu);
   std::string padded(Trim(req.facts));
   if (!padded.empty() && padded.back() != '.') padded += '.';
-  Result<Database> facts = ParseDatabase(padded, tenant->symbols);
-  if (!facts.ok()) {
-    return DispatchOutcome::Error(req.op, name, kErrParse,
-                                  facts.status().message());
+  // As for queries, the facts parse into a table of their own: a write
+  // that fails leaves the tenant's table as it was.
+  SymbolTable scratch;
+  Result<Database> parsed = ParseDatabase(padded, &scratch);
+  std::lock_guard<std::mutex> lock(tenant->mu);
+  SymbolTable& symbols = *tenant->symbols;
+  std::vector<Atom> facts;
+  bool parse_ok = parsed.ok();
+  if (parse_ok) facts = parsed.value().AtomsVector();
+  for (const Atom& f : facts) {
+    if (!ArityFits(f, scratch, symbols)) parse_ok = false;
+  }
+  if (!parse_ok) {
+    return DispatchOutcome::Error(
+        req.op, name, kErrParse,
+        TenantParseError(padded, /*facts=*/true, scratch, symbols));
+  }
+  // An assert interns its now-valid batch; a retract only looks names
+  // up, and a name the tenant lacks names no EDB fact.
+  for (Atom& f : facts) {
+    if (req.op == Op::kAssert) {
+      Intern(&f, scratch, &symbols);
+    } else {
+      Resolve(&f, scratch, symbols);
+    }
   }
   // One KB call per request frame: the whole batch seeds a single
   // semi-naive delta pass or DRed run.
@@ -168,7 +210,7 @@ DispatchOutcome Dispatcher::Write(const WireRequest& req,
   out.kb = name;
   bool delta = true;
   if (req.op == Op::kAssert) {
-    Result<AssertResult> r = tenant->kb->Assert(facts.value().AtomsVector());
+    Result<AssertResult> r = tenant->kb->Assert(facts);
     if (!r.ok()) {
       return DispatchOutcome::Error(req.op, name, kErrFailed,
                                     r.status().message());
@@ -177,8 +219,7 @@ DispatchOutcome Dispatcher::Write(const WireRequest& req,
                         r.value().delta};
     delta = r.value().delta;
   } else {
-    Result<RetractResult> r =
-        tenant->kb->Retract(facts.value().AtomsVector());
+    Result<RetractResult> r = tenant->kb->Retract(facts);
     if (!r.ok()) {
       // Covers retracting an unknown or derived-only fact: the KB is
       // untouched, so the cursor does not move.

@@ -6,6 +6,7 @@
 
 #include "analyze/analyze.h"
 #include "chase/chase.h"
+#include "core/check.h"
 #include "core/join_plan.h"
 #include "core/normalize.h"
 #include "transform/annotation.h"
@@ -23,6 +24,56 @@ double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
 }
+
+// DRed's rederivation through one head atom of one rule. Everything here
+// depends on the rule alone; a candidate only supplies the values.
+struct Rederiver {
+  // Per flattened head position: an index into `bound` (a variable the
+  // goal binds at its first occurrence and must repeat at later ones),
+  // or one of these.
+  static constexpr int32_t kFixed = -1;        // Compare the head term.
+  static constexpr int32_t kExistential = -2;  // Check the Skolem table.
+
+  std::vector<Term> head;     // Flattened head terms.
+  std::vector<int32_t> code;  // Parallel to `head`.
+  // The head's universal variables in first-occurrence order: the join's
+  // pre-bound variables. Existential ones never enter the body join.
+  std::vector<Term> bound;
+  // Existential rules: each frontier variable (FVars() order) as an
+  // index into `bound`, and (position, EVars() index) per existential
+  // position.
+  std::vector<uint32_t> frontier;
+  std::vector<std::pair<uint32_t, uint32_t>> existential;
+  JoinPlan plan;  // Compiled on first use.
+  bool compiled = false;
+
+  // Classifies the head positions of `r.head[hi]`. An existential rule
+  // has this one head atom (normal form), so the goal binds its frontier.
+  void Init(const Rule& r, size_t hi) {
+    head = r.head[hi].AllTerms();
+    std::vector<Term> evars = r.EVars();
+    for (uint32_t p = 0; p < head.size(); ++p) {
+      Term t = head[p];
+      auto e = std::find(evars.begin(), evars.end(), t);
+      if (!t.IsVariable()) {
+        code.push_back(kFixed);
+      } else if (e != evars.end()) {
+        code.push_back(kExistential);
+        existential.emplace_back(p, static_cast<uint32_t>(e - evars.begin()));
+      } else {
+        auto b = std::find(bound.begin(), bound.end(), t);
+        code.push_back(static_cast<int32_t>(b - bound.begin()));
+        if (b == bound.end()) bound.push_back(t);
+      }
+    }
+    if (evars.empty()) return;
+    for (Term f : r.FVars()) {
+      auto b = std::find(bound.begin(), bound.end(), f);
+      GEREL_CHECK(b != bound.end());
+      frontier.push_back(static_cast<uint32_t>(b - bound.begin()));
+    }
+  }
+};
 
 }  // namespace
 
@@ -67,7 +118,8 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
   // against which every CQ is answered completely (the dat(·) model
   // cannot see null witnesses). Negation stays on the Datalog route
   // (the chase is negation-free), as do existential-free theories
-  // (their least model already is the chase).
+  // (their least model already is the chase). The certified theory is
+  // also compiled as a Skolem program, which serves every later write.
   bool chase_materialized = false;
   // The certificate's kind name, for ServiceStats; empty when the planner
   // did not analyze the theory.
@@ -82,11 +134,11 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
     if (certificate.terminating()) {
       kb->mode_ = Mode::kChaseMaterialized;
       kb->weakly_guarded_ = kb->normal_;
-      kb->BuildDependencyIndex();
+      Status s = kb->CompileProgram();
+      if (!s.ok()) return s;
       transform_ms = MsSince(transform_start);
       materialize_start = Clock::now();
-      Status s = kb->MaterializeModel();
-      if (!s.ok()) return s;
+      kb->ChaseModel();
       if (kb->materialize_complete_) {
         chase_materialized = true;
       } else {
@@ -94,6 +146,7 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
         // intervened first; serve the translation pipeline's model
         // instead of a degraded chase.
         kb->model_ = Database();
+        kb->program_.reset();
         kb->dependents_.clear();
         kb->materialize_complete_ = true;
         kb->materialize_degradation_ = DegradationReason();
@@ -202,9 +255,11 @@ Status PreparedKb::CompileProgram() {
       break;
     }
     case Mode::kChaseMaterialized:
-      // Certified theories never compile a program; MaterializeModel
-      // chases `normal_` directly.
-      return Status::Error("CompileProgram called in chase mode");
+      // The certified theory is its own program: existential rules mint
+      // their nulls through the program's Skolem table, so its least
+      // model is the Skolem chase (datalog/program.h).
+      program_rules = normal_;
+      break;
   }
   // The compiled program evaluates under the shared prepare/assert
   // budget (budget_ outlives program_), recording one derivation support
@@ -224,12 +279,7 @@ Status PreparedKb::CompileProgram() {
 
 void PreparedKb::BuildDependencyIndex() {
   dependents_.clear();
-  // Chase mode has no compiled program; the source rules' body→head
-  // edges over-approximate which predicates a write can grow (the chase
-  // derives only source predicates, plus acdom handled by the caller).
-  const Theory& edges =
-      mode_ == Mode::kChaseMaterialized ? normal_ : program_->theory();
-  for (const Rule& r : edges.rules()) {
+  for (const Rule& r : program_->theory().rules()) {
     for (const Literal& l : r.body) {
       // Negated literals count too: under stratified negation a write to
       // the negated relation can flip derivations of the head.
@@ -267,28 +317,55 @@ void PreparedKb::EvictCacheForWrite(std::unordered_set<RelationId> written,
   stats_.cache_retained_entries += retained;
 }
 
-Status PreparedKb::MaterializeModel() {
-  if (mode_ == Mode::kChaseMaterialized) {
-    // Direct Skolem chase of the source theory over the EDB. The
-    // termination certificate bounds the run; the caps and budget only
-    // stop pathologies (an unsaturated result degrades queries to
-    // complete=false like any other truncated materialization).
-    ChaseOptions copts;
-    copts.max_steps = options_.chase_max_steps;
-    copts.max_atoms = options_.chase_max_atoms;
-    copts.semi_oblivious = true;
-    copts.populate_acdom = options_.datalog.populate_acdom;
-    copts.budget = budget_.get();
-    ChaseResult run = Chase(normal_, edb_, symbols_, copts);
-    model_ = std::move(run.database);
-    materialize_complete_ = run.saturated;
-    materialize_degradation_ = run.degradation;
-    // Derivation supports are recorded by the compiled program only;
-    // chase mode always re-chases on Retract.
-    supports_valid_ = false;
-    if (run.saturated) ++stats_.chase_materializations;
-    return Status::Ok();
+void PreparedKb::ChaseModel() {
+  // Direct Skolem chase of the source theory over the EDB. The
+  // termination certificate bounds the run; the caps and budget only
+  // stop pathologies (Prepare then falls back to the translations).
+  ChaseOptions copts;
+  copts.max_steps = options_.chase_max_steps;
+  copts.max_atoms = options_.chase_max_atoms;
+  copts.semi_oblivious = true;
+  copts.populate_acdom = options_.datalog.populate_acdom;
+  copts.budget = budget_.get();
+  ChaseResult run = Chase(normal_, edb_, symbols_, copts);
+  model_ = std::move(run.database);
+  materialize_complete_ = run.saturated;
+  materialize_degradation_ = run.degradation;
+  // The chase records no derivation supports: the first Retract
+  // re-materializes through the program, which records them.
+  supports_valid_ = false;
+  if (!run.saturated) return;
+  ++stats_.chase_materializations;
+  // Adopt the chase's nulls as the program's Skolem table, so a delta
+  // pass or re-materialization derives exactly the chase's atoms. In
+  // normal form every rule has one head atom, and a step's nulls sit at
+  // its rule's existential positions (found once per rule; steps of
+  // Datalog rules are skipped).
+  std::vector<std::vector<uint32_t>> existential_at(normal_.size());
+  for (size_t ri = 0; ri < normal_.size(); ++ri) {
+    const Rule& r = normal_.rules()[ri];
+    std::vector<Term> evars = r.EVars();
+    if (evars.empty()) continue;
+    GEREL_CHECK(r.head.size() == 1);
+    std::vector<Term> head = r.head[0].AllTerms();
+    for (Term v : evars) {
+      existential_at[ri].push_back(static_cast<uint32_t>(
+          std::find(head.begin(), head.end(), v) - head.begin()));
+    }
   }
+  for (ChaseStep& step : run.derivation) {
+    const std::vector<uint32_t>& at = existential_at[step.rule_index];
+    if (at.empty()) continue;
+    std::vector<Term> nulls;
+    nulls.reserve(at.size());
+    for (uint32_t pos : at) nulls.push_back(step.atom.TermAt(pos));
+    Status s = program_->SeedSkolem(
+        step.rule_index, std::move(step.frontier_image), std::move(nulls));
+    GEREL_CHECK(s.ok());
+  }
+}
+
+Status PreparedKb::MaterializeModel() {
   model_ = edb_;
   Result<EvalPassStats> pass = program_->Materialize(&model_);
   if (!pass.ok()) return pass.status();
@@ -460,6 +537,18 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
   // work (the compiled program's options point at budget_).
   budget_->Arm(options_.budget, GlobalFaultPlan());
   AssertResult out;
+  for (const Atom& f : facts) {
+    if (edb_.Insert(f)) ++out.new_atoms;
+  }
+  if (out.new_atoms == 0) {
+    // Every asserted fact was already in the EDB, so the model already
+    // holds them and their consequences: no pass runs and no cached
+    // answer goes stale (a no-op delta; replicas need no resync).
+    ++stats_.asserts;
+    ++stats_.delta_asserts;
+    stats_.assert_wall_ms += MsSince(start);
+    return out;
+  }
   // Whether the write grows the active domain (a term the model's acdom
   // does not know yet); decides if acdom readers must be evicted.
   bool domain_changed = false;
@@ -467,19 +556,6 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
     for (Term t : f.AllTerms()) {
       if (!model_.Contains(Atom(acdom_, {t}))) domain_changed = true;
     }
-  }
-  for (const Atom& f : facts) {
-    if (edb_.Insert(f)) ++out.new_atoms;
-  }
-  if (mode_ == Mode::kChaseMaterialized && out.new_atoms == 0) {
-    // Every asserted fact was already in the EDB: the chase would
-    // rebuild the identical model, so skip the re-chase and report a
-    // no-op delta (replicas need no resync).
-    out.delta = true;
-    ++stats_.asserts;
-    ++stats_.delta_asserts;
-    stats_.assert_wall_ms += MsSince(start);
-    return out;
   }
   bool recompile = false;
   if (mode_ == Mode::kWeaklyGuarded) {
@@ -492,10 +568,7 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
       }
     }
   }
-  // Chase mode has no delta path: the semi-naive evaluator cannot extend
-  // a chase-built model, so every assert re-chases from the grown EDB.
-  bool rematerialize = recompile || mode_ == Mode::kChaseMaterialized ||
-                       program_->has_negation();
+  bool rematerialize = recompile || program_->has_negation();
   double transform_ms = 0.0;
   double materialize_ms = 0.0;
   if (recompile) {
@@ -644,8 +717,7 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
   }
   bool recompile = mode_ == Mode::kWeaklyGuarded &&
                    (wg_domain_shrinks || null_retracted);
-  bool fallback = recompile || mode_ == Mode::kChaseMaterialized ||
-                  program_->has_negation() || !supports_valid_;
+  bool fallback = recompile || program_->has_negation() || !supports_valid_;
 
   // The surviving EDB, needed by both paths (an overdeleted atom that is
   // still a base fact must not be deleted).
@@ -821,12 +893,17 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
       heads_by_pred[r.head[hi].pred].emplace_back(ri, hi);
     }
   }
+  // The rederivers of the (rule, head) pairs candidates reach, built on
+  // first use.
+  std::unordered_map<uint64_t, Rederiver> rederivers;
   std::vector<Atom> candidates;
   candidates.reserve(total_deleted);
   for (size_t i = 0; i < n; ++i) {
     if (deleted[i]) candidates.push_back(model_.atom(i));
   }
   JoinExecutor exec;
+  std::vector<Term> values;
+  std::vector<Term> frontier;
   auto try_rederive = [&](const Atom& goal, uint32_t* out_rule,
                           std::vector<uint32_t>* out_body) -> bool {
     auto it = heads_by_pred.find(goal.pred);
@@ -838,41 +915,52 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
           h.annotation.size() != goal.annotation.size()) {
         continue;
       }
+      auto [slot, fresh] = rederivers.try_emplace(uint64_t{ri} << 32 | hi);
+      Rederiver& d = slot->second;
+      if (fresh) d.Init(r, hi);
       // Unify the ground goal against the head atom: constants must
-      // match, variables bind consistently.
-      std::vector<std::pair<Term, Term>> binds;
+      // match, variables bind consistently (`bound` is in first-occurrence
+      // order, so a variable's first occurrence is the next value).
+      values.clear();
       bool ok = true;
-      auto unify = [&](Term ht, Term gt) {
-        if (!ok) return;
-        if (!ht.IsVariable()) {
-          if (ht != gt) ok = false;
-          return;
+      for (size_t p = 0; p < d.head.size() && ok; ++p) {
+        Term gt = goal.TermAt(p);
+        int32_t c = d.code[p];
+        if (c == Rederiver::kFixed) {
+          ok = d.head[p] == gt;
+        } else if (c == static_cast<int32_t>(values.size())) {
+          values.push_back(gt);
+        } else if (c >= 0) {
+          ok = values[c] == gt;
         }
-        for (const auto& [v, val] : binds) {
-          if (v == ht) {
-            if (val != gt) ok = false;
-            return;
-          }
-        }
-        binds.emplace_back(ht, gt);
-      };
-      for (size_t k = 0; k < h.args.size(); ++k) unify(h.args[k], goal.args[k]);
-      for (size_t k = 0; k < h.annotation.size(); ++k) {
-        unify(h.annotation[k], goal.annotation[k]);
       }
       if (!ok) continue;
-      std::vector<Atom> positives;
-      positives.reserve(r.body.size());
-      for (const Literal& l : r.body) positives.push_back(l.atom);
-      std::vector<Term> pre_bound;
-      pre_bound.reserve(binds.size());
-      for (const auto& [v, val] : binds) pre_bound.push_back(v);
-      JoinPlan plan(positives, pre_bound);
-      exec.Reset(plan);
-      for (const auto& [v, val] : binds) exec.Bind(v, val);
+      if (!d.existential.empty()) {
+        // The goal must hold exactly the nulls the table gives this
+        // rule's frontier image; a miss means this head cannot
+        // rederive the goal.
+        frontier.clear();
+        for (uint32_t b : d.frontier) frontier.push_back(values[b]);
+        const std::vector<Term>* nulls = program_->FindSkolem(ri, frontier);
+        if (nulls == nullptr) continue;
+        for (auto [p, k] : d.existential) {
+          if (goal.TermAt(p) != (*nulls)[k]) ok = false;
+        }
+        if (!ok) continue;
+      }
+      if (!d.compiled) {
+        std::vector<Atom> positives;
+        for (const Literal& l : r.body) positives.push_back(l.atom);
+        d.plan.Recompile(positives, d.bound);
+        d.compiled = true;
+      }
+      exec.Reset(d.plan);
+      for (size_t b = 0; b < d.bound.size(); ++b) {
+        exec.Bind(d.bound[b], values[b]);
+      }
       bool found = false;
       exec.Execute(
-          plan, *new_model,
+          d.plan, *new_model,
           [&](const JoinExecutor& e) {
             *out_rule = ri;
             *out_body = e.MatchedAtomIndices();

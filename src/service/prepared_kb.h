@@ -9,14 +9,19 @@
 //
 //   Prepare:  normalize and classify Σ, rewrite to weakly guarded (Thm
 //             2) if needed, then collapse the remaining stages by class:
+//               - certified Σ (the planner proves its Skolem chase
+//                 terminates): Σ itself, as a Skolem program whose
+//                 existential rules mint nulls (datalog/program.h);
 //               - Datalog Σ: compile Σ directly (no grounding, no
 //                 saturation — the least model is the chase);
 //               - guarded Σ: dat(Σ) by saturation (Thm 3), which is
 //                 database-independent;
 //               - weakly guarded Σ: dat(pg(Σ, D)) (§7), which depends
 //                 only on D's constant domain.
-//             The compiled Datalog program is evaluated over D once and
-//             the resulting model kept ("materialized").
+//             The compiled program is evaluated over D once and the
+//             resulting model kept ("materialized"). A certified Σ is
+//             materialized by the semi-oblivious chase instead, whose
+//             nulls seed the program's Skolem table.
 //   Query:    evaluate the CQ's body join directly against the
 //             materialized model — no recompilation, no re-evaluation.
 //             Answers are always sound (every tuple is certain); the
@@ -24,7 +29,8 @@
 //             answers (see PreparedQueryResult).
 //   Assert:   extend the model incrementally: new facts seed the
 //             semi-naive evaluator's delta, so only their consequences
-//             are derived. Falls back to re-running the data-dependent
+//             are derived. An assert of facts the EDB already holds runs
+//             nothing. Falls back to re-running the data-dependent
 //             stages only when a weakly guarded theory meets constants
 //             outside the grounded domain (or the program has negation).
 //   Retract:  remove EDB facts incrementally by DRed (delete/re-derive):
@@ -32,12 +38,14 @@
 //             materialization overdeletes the support cascade in one
 //             forward pass, the pruned model is rebuilt, and overdeleted
 //             atoms are rederived against it by rerunning their rules —
-//             the result is exactly the least model of the surviving
-//             EDB. Falls back to an epoch-bump full re-materialization
-//             when the program has negation, the support log is invalid
-//             (degraded materialization, snapshot load), a weakly
-//             guarded theory's constant domain shrinks or the retracted
-//             facts carry labeled nulls, or the budget trips mid-retract.
+//             a Skolem head only rederives an atom holding the nulls its
+//             table gives the frontier — so the result is exactly the
+//             least model of the surviving EDB. Falls back to an
+//             epoch-bump full re-materialization when the program has
+//             negation, the support log is invalid (degraded or chased
+//             materialization, snapshot load), a weakly guarded theory's
+//             constant domain shrinks or the retracted facts carry
+//             labeled nulls, or the budget trips mid-retract.
 //
 // Single owner: a PreparedKb holds no lock. Callers serialize every call,
 // const ones included (Query fills the answer cache and counts stats);
@@ -82,7 +90,7 @@ struct PreparedKbOptions {
   // run on the calling thread. pipeline.saturation.num_threads is the
   // only parallel knob: it sets the saturation lanes of the guarded and
   // weakly guarded routes. Chase mode (Mode::kChaseMaterialized) runs
-  // its Skolem chase on one thread.
+  // its prepare-time Skolem chase on one thread too.
   DatalogOptions datalog;
   // Maximum number of cached query answer sets; 0 disables the cache.
   size_t answer_cache_capacity = 1024;
@@ -97,16 +105,17 @@ struct PreparedKbOptions {
   // the theory terminates on every database, Prepare skips the rewrite/
   // grounding/saturation translation stack entirely and materializes a
   // *universal* model by chasing the EDB directly
-  // (Mode::kChaseMaterialized). Queries against a universal model are
-  // always complete — even through null witnesses the dat(·) route
-  // cannot see. Existential-free theories and programs with negation
-  // keep the Datalog route; an uncertified theory falls back to the
-  // translations.
+  // (Mode::kChaseMaterialized); writes then run on the theory compiled
+  // as a Skolem program, whose least model is that chase. Queries
+  // against a universal model are always complete — even through null
+  // witnesses the dat(·) route cannot see. Existential-free theories and
+  // programs with negation keep the Datalog route; an uncertified theory
+  // falls back to the translations.
   bool planner = true;
-  // Caps for the planner's certificate analysis and for the chase-mode
-  // materializations (generous: the certificate bounds the chase, the
-  // caps only stop pathologies; an unsaturated prepare-time chase falls
-  // back to the translation pipeline).
+  // Caps for the planner's certificate analysis and for the prepare-time
+  // chase (generous: the certificate bounds the chase, the caps only
+  // stop pathologies; an unsaturated chase falls back to the translation
+  // pipeline).
   TerminationOptions termination;
   size_t chase_max_steps = 1 << 20;
   size_t chase_max_atoms = 1 << 21;
@@ -161,7 +170,8 @@ class PreparedKb {
     kGuarded,            // dat(Σ) once; fully incremental.
     kWeaklyGuarded,      // dat(pg(Σ, D)); re-grounds on new constants.
     kChaseMaterialized,  // Certified terminating: direct Skolem chase,
-                         // no compiled program; writes re-chase.
+                         // then Σ as a Skolem program; fully
+                         // incremental.
   };
 
   // Runs the prepare phase over `theory` (must be weakly
@@ -206,10 +216,11 @@ class PreparedKb {
   // --- Crash-safe persistence (implemented in snapshot.cc) ---
   //
   // Binary format: magic + version + payload size + payload + FNV-1a
-  // checksum, where the payload serializes the symbol table, theories,
-  // mode, EDB, materialized model, degradation certificate, and the
-  // prepare-time analysis stats (termination certificate kind and
-  // diagnostics count, restored into stats() on load). Written
+  // checksum, where the payload serializes the symbol table (named nulls
+  // included), theories, mode, EDB, materialized model, the program's
+  // Skolem table, degradation certificate, and the prepare-time
+  // analysis stats (termination certificate kind and diagnostics count,
+  // restored into stats() on load). Written
   // to `path` via temp file + atomic rename, so a crash mid-save leaves
   // any previous snapshot intact. The active fault plan (GEREL_FAULT /
   // SetFaultPlanForTest) can truncate or bit-flip the written image for
@@ -242,7 +253,7 @@ class PreparedKb {
     return rewrite_complete_ && compile_complete_ && materialize_complete_;
   }
   size_t model_size() const { return model_.size(); }
-  // Compiled-program rule count; 0 in chase mode (no program).
+  // Compiled-program rule count (in chase mode, the Skolem program's).
   size_t datalog_rules() const {
     return program_ == nullptr ? 0 : program_->theory().size();
   }
@@ -257,7 +268,10 @@ class PreparedKb {
   // Rebuilds the data-dependent stages (grounding + saturation +
   // program compilation) from the current EDB.
   Status CompileProgram();
-  // Rebuilds the materialized model from the EDB.
+  // Chase mode's prepare-time materialization: the semi-oblivious chase
+  // of the EDB, whose nulls then seed the program's Skolem table.
+  void ChaseModel();
+  // Rebuilds the materialized model from the EDB through the program.
   Status MaterializeModel();
   // Records the compiled program's body→head predicate edges for
   // dependency-aware cache invalidation (also called by LoadSnapshot).
@@ -312,7 +326,8 @@ class PreparedKb {
   // this log). Valid only when the last full pass completed and the
   // program is negation-free; an invalid log routes Retract to the
   // re-materialization fallback, which rebuilds it (self-healing — the
-  // snapshot format does not persist supports).
+  // prepare-time chase records no supports, and the snapshot format
+  // does not persist them).
   SupportLog supports_;
   bool supports_valid_ = false;
   // Direct body→head predicate edges of the compiled program, for the

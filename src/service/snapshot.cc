@@ -10,19 +10,21 @@
 //
 // The payload carries everything Prepare computed that is expensive to
 // rebuild: the symbol table (names re-interned at their original dense
-// ids), the normalized and weakly guarded theories, the compiled Datalog
-// program's rule set (so LoadSnapshot skips rewrite/grounding/saturation
-// and only re-runs the cheap join-plan compilation), the EDB, the
-// materialized model, the degradation certificate, and the prepare-time
-// analysis stats (termination certificate kind, pre-flight diagnostics
-// count), so a warm start reports what the cold prepare did. Every read is
-// bounds-checked; truncation, bit-flips, magic/version skew, and
-// fingerprint mismatches all surface as errors so callers can fall back
-// to a fresh Prepare.
+// ids, named nulls at theirs), the normalized and weakly guarded
+// theories, the compiled program's rule set (so LoadSnapshot skips
+// rewrite/grounding/saturation and only re-runs the cheap join-plan
+// compilation), the EDB, the materialized model, the program's Skolem
+// table (so a warm tenant mints the nulls a cold one would), the
+// degradation certificate, and the prepare-time analysis stats
+// (termination certificate kind, pre-flight diagnostics count), so a warm
+// start reports what the cold prepare did. Every read is bounds-checked;
+// truncation, bit-flips, magic/version skew, and fingerprint mismatches
+// all surface as errors so callers can fall back to a fresh Prepare.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/termination.h"
@@ -42,7 +44,11 @@ constexpr uint64_t kSnapshotMagic = 0x4752454C534E4150ull;  // "GRELSNAP"
 // v3: the termination certificate kind name (empty when the planner did
 // not analyze the theory) and the pre-flight diagnostics count follow
 // the degradation records.
-constexpr uint32_t kSnapshotVersion = 3;
+// v4: chase-mode images store their compiled program like every other
+// mode (the normalized theory, read as a Skolem program); the named
+// nulls' (name, id) pairs, sorted by id, follow the null counter; the
+// program's Skolem table, sorted, ends the payload.
+constexpr uint32_t kSnapshotVersion = 4;
 
 uint64_t Fnv1a(const uint8_t* data, size_t n) {
   uint64_t h = 14695981039346656037ull;
@@ -243,10 +249,23 @@ Status CorruptError(const std::string& path, const char* what) {
   return Status::Error("snapshot " + path + ": " + what);
 }
 
+// Whether `t` names an entry of its kind's table in the loaded symbol
+// table, nulls lying below the restored null counter. A ground term
+// (in a database atom or the Skolem table) must not be a variable.
+bool FitsSymbols(Term t, const SymbolTable& symbols, bool ground) {
+  switch (t.kind()) {
+    case TermKind::kConstant:
+      return t.id() < symbols.NumConstants();
+    case TermKind::kVariable:
+      return !ground && t.id() < symbols.NumVariables();
+    case TermKind::kNull:
+      return t.id() < symbols.NumNulls();
+  }
+  return false;
+}
+
 // Whether `a` fits the loaded symbol table: its relation exists with a
-// matching arity (when one is recorded) and each term names an entry of
-// its kind's table, nulls lying below the restored null counter. A
-// database atom (EDB or model) must also be free of variables. A valid
+// matching arity (when one is recorded) and each term fits. A valid
 // checksum only proves the image was written as read, not that its
 // writer was sound, so every id is checked before any engine sees it.
 bool FitsSymbols(const Atom& a, const SymbolTable& symbols,
@@ -254,17 +273,7 @@ bool FitsSymbols(const Atom& a, const SymbolTable& symbols,
   if (a.pred >= symbols.NumRelations()) return false;
   int arity = symbols.RelationArity(a.pred);
   if (arity >= 0 && static_cast<size_t>(arity) != a.arity()) return false;
-  auto fits = [&](Term t) {
-    switch (t.kind()) {
-      case TermKind::kConstant:
-        return t.id() < symbols.NumConstants();
-      case TermKind::kVariable:
-        return !database_atom && t.id() < symbols.NumVariables();
-      case TermKind::kNull:
-        return t.id() < symbols.NumNulls();
-    }
-    return false;
-  };
+  auto fits = [&](Term t) { return FitsSymbols(t, symbols, database_atom); };
   return std::all_of(a.args.begin(), a.args.end(), fits) &&
          std::all_of(a.annotation.begin(), a.annotation.end(), fits);
 }
@@ -325,9 +334,16 @@ Status PreparedKb::SaveSnapshot(const std::string& path) const {
     w.Str(symbols_->VariableName(Term::Variable(id)));
   }
   w.U32(symbols_->NumNulls());
+  // Named nulls, so a warm CQ's `_x` still names the EDB's `_x`.
+  std::vector<std::pair<std::string, uint32_t>> named = symbols_->NamedNulls();
+  w.U32(static_cast<uint32_t>(named.size()));
+  for (const auto& [name, id] : named) {
+    w.Str(name);
+    w.U32(id);
+  }
   w.TheoryRec(normal_);
   w.TheoryRec(weakly_guarded_);
-  w.TheoryRec(program_ == nullptr ? Theory() : program_->theory());
+  w.TheoryRec(program_->theory());
   w.DatabaseRec(edb_);
   w.DatabaseRec(model_);
   // Sorted for byte-stable images (the set iterates in hash order).
@@ -336,6 +352,28 @@ Status PreparedKb::SaveSnapshot(const std::string& path) const {
   std::sort(grounded.begin(), grounded.end());
   w.U32(static_cast<uint32_t>(grounded.size()));
   for (uint32_t bits : grounded) w.U32(bits);
+  // The Skolem table, sorted by (rule, frontier) for the same reason.
+  struct SkolemEntry {
+    uint32_t rule;
+    std::vector<Term> frontier;
+    std::vector<Term> nulls;
+  };
+  std::vector<SkolemEntry> skolem;
+  program_->ForEachSkolem([&](uint32_t rule, const std::vector<Term>& frontier,
+                              const std::vector<Term>& nulls) {
+    skolem.push_back({rule, frontier, nulls});
+  });
+  std::sort(skolem.begin(), skolem.end(),
+            [](const SkolemEntry& a, const SkolemEntry& b) {
+              return a.rule != b.rule ? a.rule < b.rule
+                                      : a.frontier < b.frontier;
+            });
+  w.U64(skolem.size());
+  for (const SkolemEntry& e : skolem) {
+    w.U32(e.rule);
+    w.Terms(e.frontier);
+    w.Terms(e.nulls);
+  }
   const std::vector<uint8_t>& payload = w.bytes();
 
   Writer image;
@@ -472,6 +510,20 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
     }
   }
   symbols->RestoreNullCounter(r.U32());
+  // Named nulls in strictly increasing id order, each name once, every
+  // id below the counter.
+  uint32_t num_named = r.U32();
+  int64_t last_named = -1;
+  for (uint32_t i = 0; i < num_named && r.ok(); ++i) {
+    std::string name = r.Str();
+    uint32_t id = r.U32();
+    if (!r.ok()) break;
+    if (static_cast<int64_t>(id) <= last_named ||
+        !symbols->RestoreNamedNull(name, id)) {
+      return CorruptError(path, "corrupt payload");
+    }
+    last_named = id;
+  }
 
   Theory normal = r.TheoryRec();
   Theory weakly_guarded = r.TheoryRec();
@@ -480,6 +532,18 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
       !FitsSymbols(weakly_guarded, *symbols) ||
       !FitsSymbols(program_rules, *symbols)) {
     return CorruptError(path, "corrupt payload");
+  }
+  // Only a certified theory runs as a Skolem program: chase mode's
+  // program is the normalized theory, whose existential rules have one
+  // head atom each, and every other mode's is Datalog.
+  const bool chase = mode_byte == static_cast<uint8_t>(Mode::kChaseMaterialized);
+  if (chase && program_rules.rules() != normal.rules()) {
+    return CorruptError(path, "corrupt payload");
+  }
+  for (const Rule& rule : program_rules.rules()) {
+    if (!rule.IsDatalog() && (!chase || rule.head.size() != 1)) {
+      return CorruptError(path, "corrupt payload");
+    }
   }
   auto read_database = [&](Database* db) {
     uint64_t atoms = r.U64();
@@ -500,7 +564,7 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
   uint32_t num_grounded = r.U32();
   std::unordered_set<uint32_t> grounded;
   for (uint32_t i = 0; i < num_grounded && r.ok(); ++i) grounded.insert(r.U32());
-  if (!r.AtEnd()) return CorruptError(path, "corrupt payload");
+  if (!r.ok()) return CorruptError(path, "corrupt payload");
 
   std::unique_ptr<PreparedKb> kb(new PreparedKb(symbols, options));
   kb->budget_ = std::make_unique<ExecutionBudget>();
@@ -521,28 +585,38 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
   kb->edb_ = std::move(edb);
   kb->model_ = std::move(model);
   kb->grounded_constants_ = std::move(grounded);
-  if (kb->mode_ == Mode::kChaseMaterialized) {
-    // Chase mode stores no compiled program (the serialized program
-    // theory is an empty placeholder): queries serve from the loaded
-    // universal model, and the first write re-chases from normal_.
-    kb->BuildDependencyIndex();
-  } else {
-    // Only the join-plan compilation re-runs; rewrite, grounding, and
-    // saturation artifacts are all baked into the stored rule set.
-    DatalogOptions dopts = options.datalog;
-    dopts.budget = kb->budget_.get();
-    // Derivation supports are not persisted: the loaded model keeps
-    // supports_valid_ = false, so the first Retract re-materializes (and
-    // rebuilds the support log as a side effect). The dependency index is
-    // pure program structure, so it is rebuilt here for cache eviction.
-    dopts.support_log = &kb->supports_;
-    Result<DatalogProgram> program =
-        DatalogProgram::Compile(std::move(program_rules), symbols, dopts);
-    if (!program.ok()) return program.status();
-    kb->program_ =
-        std::make_unique<DatalogProgram>(std::move(program).value());
-    kb->BuildDependencyIndex();
+  // Only the join-plan compilation re-runs; rewrite, grounding, and
+  // saturation artifacts are all baked into the stored rule set.
+  DatalogOptions dopts = options.datalog;
+  dopts.budget = kb->budget_.get();
+  // Derivation supports are not persisted: the loaded model keeps
+  // supports_valid_ = false, so the first Retract re-materializes (and
+  // rebuilds the support log as a side effect). The dependency index is
+  // pure program structure, so it is rebuilt here for cache eviction.
+  dopts.support_log = &kb->supports_;
+  Result<DatalogProgram> program =
+      DatalogProgram::Compile(std::move(program_rules), symbols, dopts);
+  if (!program.ok()) return program.status();
+  kb->program_ = std::make_unique<DatalogProgram>(std::move(program).value());
+  kb->BuildDependencyIndex();
+  // The Skolem table: ground frontier images and nulls that fit the
+  // symbol table, for existential rules of matching shape (SeedSkolem).
+  uint64_t num_skolem = r.U64();
+  for (uint64_t i = 0; i < num_skolem && r.ok(); ++i) {
+    uint32_t rule = r.U32();
+    std::vector<Term> frontier = r.Terms();
+    std::vector<Term> nulls = r.Terms();
+    if (!r.ok()) break;
+    auto ground = [&](Term t) { return FitsSymbols(t, *symbols, true); };
+    auto null = [&](Term t) { return t.IsNull() && ground(t); };
+    if (!std::all_of(frontier.begin(), frontier.end(), ground) ||
+        !std::all_of(nulls.begin(), nulls.end(), null) ||
+        !kb->program_->SeedSkolem(rule, std::move(frontier), std::move(nulls))
+             .ok()) {
+      return CorruptError(path, "corrupt payload");
+    }
   }
+  if (!r.AtEnd()) return CorruptError(path, "corrupt payload");
   ServiceStats& stats = kb->stats_;
   stats.snapshot_loads = 1;
   stats.model_atoms = kb->model_.size();

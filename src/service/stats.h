@@ -59,8 +59,8 @@ struct ServiceStats {
   // "mfa", ...); empty when the planner did not analyze the theory.
   std::string materialization_strategy;
   std::string termination_certificate;
-  // Model rebuilds served by the direct chase: the initial chase-mode
-  // Prepare plus every chase-mode Assert/Retract rematerialization.
+  // Models built by the direct chase: one per chase-mode Prepare. Writes
+  // run on the Skolem program and never chase.
   uint64_t chase_materializations = 0;
   // Diagnostics reported by the Prepare pre-flight analysis (see
   // analyze/analyze.h).

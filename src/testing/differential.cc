@@ -772,15 +772,18 @@ std::set<std::string> GroundFactSetOf(const std::vector<Atom>& atoms,
   return out;
 }
 
-// One CRUD case: see the RunCrud header comment for the checked
-// properties.
-CaseVerdict CheckCrudCase(const GeneratedCase& c, SymbolTable* symbols,
-                          const DiffOptions& options, DiffFailure* failure) {
+// One CRUD case under one planner setting, shared by the live KB and
+// every fresh KB it is compared with: see the RunCrud header comment for
+// the checked properties.
+CaseVerdict CheckCrudCaseWith(const GeneratedCase& c, SymbolTable* symbols,
+                              const DiffOptions& options, bool planner,
+                              DiffFailure* failure) {
   failure->cls = c.cls;
   failure->case_seed = c.seed;
   auto fail = [&](const char* lane, std::string detail) {
     failure->lane = lane;
-    failure->detail = std::move(detail);
+    failure->detail =
+        (planner ? "planner on: " : "planner off: ") + std::move(detail);
     return CaseVerdict::kFail;
   };
 
@@ -796,6 +799,7 @@ CaseVerdict CheckCrudCase(const GeneratedCase& c, SymbolTable* symbols,
   po.pipeline = pipeline_opts;
   po.pipeline.saturation.num_threads =
       static_cast<size_t>(options.num_threads);
+  po.planner = planner;
 
   bool is_datalog = true;
   for (const Rule& r : c.theory.rules()) {
@@ -927,6 +931,22 @@ CaseVerdict CheckCrudCase(const GeneratedCase& c, SymbolTable* symbols,
   }
   if (checkpoint_failed) return CaseVerdict::kFail;
   return compared > 0 ? CaseVerdict::kOk : CaseVerdict::kSkip;
+}
+
+// One CRUD case with the planner on, then off: the chase-mode Skolem
+// program and the translation routes each face the same interleaving.
+// Each setting runs on its own copy of the case's symbol table.
+CaseVerdict CheckCrudCase(const GeneratedCase& c, SymbolTable* symbols,
+                          const DiffOptions& options, DiffFailure* failure) {
+  CaseVerdict verdict = CaseVerdict::kSkip;
+  for (bool planner : {true, false}) {
+    SymbolTable run_symbols = *symbols;
+    CaseVerdict v = CheckCrudCaseWith(c, &run_symbols, options, planner,
+                                      failure);
+    if (v == CaseVerdict::kFail) return v;
+    if (v == CaseVerdict::kOk) verdict = v;
+  }
+  return verdict;
 }
 
 }  // namespace

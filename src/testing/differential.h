@@ -137,7 +137,9 @@ DiffReport RunFaultRecovery(unsigned seed, size_t iters,
 
 // CRUD lane (`gerel fuzz --lane crud`). For each seeded case, prepares
 // a PreparedKb on a prefix of the generated database and then replays a
-// deterministic random interleaving of assert / retract / query ops.
+// deterministic random interleaving of assert / retract / query ops,
+// once with the planner on and once with it off (a failure's detail
+// names the setting).
 // After every mutation the live KB is compared against a *fresh*
 // Prepare from the surviving EDB: certain ground facts must agree (the
 // full model, for Datalog-class theories), query answers must agree

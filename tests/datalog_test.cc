@@ -6,6 +6,7 @@
 #include "core/printer.h"
 #include "datalog/evaluator.h"
 #include "datalog/orderings.h"
+#include "datalog/program.h"
 #include "datalog/stratifier.h"
 
 namespace gerel {
@@ -137,6 +138,73 @@ TEST(EvaluatorTest, EmptyBodyNegationBlockedWhenFactPresent) {
 TEST(EvaluatorTest, RejectsExistentialRules) {
   Fixture f("a(X) -> exists Y. r(X, Y).", "a(c).");
   EXPECT_FALSE(EvaluateDatalog(f.theory, f.db, &f.syms).ok());
+}
+
+// The null r(x, ·) holds in `db`, or a constant when there is none.
+Term SuccessorOf(const Database& db, RelationId r, Term x) {
+  for (uint32_t ai : db.AtomsOf(r)) {
+    if (db.atom(ai).args[0] == x) return db.atom(ai).args[1];
+  }
+  return Term();
+}
+
+TEST(SkolemProgramTest, FiringsReuseTheirNulls) {
+  Fixture f("a(X) -> exists Y. r(X, Y).", "a(c).");
+  Result<DatalogProgram> program = DatalogProgram::Compile(f.theory, &f.syms);
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  const RelationId r = f.syms.Relation("r");
+  const Term c = f.syms.Constant("c");
+  Database first = f.db;
+  ASSERT_TRUE(program.value().Materialize(&first).ok());
+  const Term n = SuccessorOf(first, r, c);
+  ASSERT_TRUE(n.IsNull());
+  const uint32_t minted = f.syms.NumNulls();
+  // A second materialization from scratch gets the same null back.
+  Database second = f.db;
+  ASSERT_TRUE(program.value().Materialize(&second).ok());
+  EXPECT_EQ(SuccessorOf(second, r, c), n);
+  EXPECT_EQ(f.syms.NumNulls(), minted);
+  ASSERT_NE(program.value().FindSkolem(0, {c}), nullptr);
+  EXPECT_EQ(*program.value().FindSkolem(0, {c}), std::vector<Term>{n});
+  // A new frontier image mints a new null...
+  const Term d = f.syms.Constant("d");
+  size_t begin = second.size();
+  second.Insert(Atom(f.syms.Relation("a"), {d}));
+  ASSERT_TRUE(program.value().ExtendWithDelta(&second, begin).ok());
+  const Term m = SuccessorOf(second, r, d);
+  EXPECT_TRUE(m.IsNull());
+  EXPECT_NE(m, n);
+  EXPECT_EQ(f.syms.NumNulls(), minted + 1);
+  // ...and the delta, unrelated to c, leaves c's null where it was.
+  Database third = f.db;
+  third.Insert(Atom(f.syms.Relation("a"), {d}));
+  ASSERT_TRUE(program.value().Materialize(&third).ok());
+  EXPECT_EQ(SuccessorOf(third, r, c), n);
+  EXPECT_EQ(SuccessorOf(third, r, d), m);
+  EXPECT_EQ(f.syms.NumNulls(), minted + 1);
+}
+
+TEST(SkolemProgramTest, SeededNullsAreAdopted) {
+  Fixture f("a(X) -> exists Y. r(X, Y).\nb(X) -> s(X).", "a(c).");
+  Result<DatalogProgram> program = DatalogProgram::Compile(f.theory, &f.syms);
+  ASSERT_TRUE(program.ok());
+  const Term c = f.syms.Constant("c");
+  const Term n = f.syms.FreshNull();
+  EXPECT_FALSE(program.value().SeedSkolem(1, {c}, {n}).ok());  // Datalog.
+  EXPECT_FALSE(program.value().SeedSkolem(2, {c}, {n}).ok());  // No rule.
+  EXPECT_FALSE(program.value().SeedSkolem(0, {c, c}, {n}).ok());
+  EXPECT_FALSE(program.value().SeedSkolem(0, {c}, {}).ok());
+  ASSERT_TRUE(program.value().SeedSkolem(0, {c}, {n}).ok());
+  EXPECT_FALSE(program.value().SeedSkolem(0, {c}, {n}).ok());  // Repeated.
+  Database db = f.db;
+  ASSERT_TRUE(program.value().Materialize(&db).ok());
+  EXPECT_EQ(SuccessorOf(db, f.syms.Relation("r"), c), n);
+}
+
+TEST(SkolemProgramTest, CompileRejectsExistentialRulesUnderNegation) {
+  Fixture f("a(X) -> exists Y. r(X, Y).\na(X), not b(X) -> s(X).", "a(c).");
+  Result<DatalogProgram> program = DatalogProgram::Compile(f.theory, &f.syms);
+  EXPECT_FALSE(program.ok());
 }
 
 TEST(EvaluatorTest, RejectsUnsafeNegation) {

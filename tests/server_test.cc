@@ -235,6 +235,13 @@ struct Backend {
     req.facts = facts;
     return dispatcher.Dispatch(req);
   }
+  DispatchOutcome Retract(const std::string& kb, const std::string& facts) {
+    WireRequest req;
+    req.op = Op::kRetract;
+    req.kb = kb;
+    req.facts = facts;
+    return dispatcher.Dispatch(req);
+  }
 };
 
 TEST(DispatcherTest, PrepareQueryAssertCursor) {
@@ -359,6 +366,55 @@ TEST(DispatcherTest, QueriesLeaveTheSymbolTableAndSnapshotUnchanged) {
   EXPECT_EQ(syms.NumVariables(), variables);
   EXPECT_EQ(syms.NumNulls(), nulls);
   EXPECT_EQ(save("queries_write_nothing_after.snap"), before);
+}
+
+TEST(DispatcherTest, FailedWritesInternNothing) {
+  Backend b;
+  ASSERT_TRUE(b.Prepare("tc", kTcProgram).ok);
+  const SymbolTable& syms = *b.registry.Find("tc")->symbols;
+  const size_t relations = syms.NumRelations();
+  const size_t constants = syms.NumConstants();
+  const size_t nulls = syms.NumNulls();
+  auto save = [&](const std::string& file) {
+    WireRequest req;
+    req.op = Op::kSave;
+    req.kb = "tc";
+    req.path = ::testing::TempDir() + file;
+    EXPECT_TRUE(b.dispatcher.Dispatch(req).ok);
+    std::string bytes = FileBytes(req.path);
+    std::remove(req.path.c_str());
+    return bytes;
+  };
+  const std::string before = save("failed_writes_before.snap");
+  // Retracts only look names up: a name the tenant lacks names no fact.
+  for (const char* facts : {"foo(a)", "e(a, zz)", "e(_q, b)"}) {
+    DispatchOutcome r = b.Retract("tc", facts);
+    EXPECT_EQ(r.error_code, kErrFailed) << facts;
+    EXPECT_EQ(r.error_message, "cannot retract a fact that is not in the EDB")
+        << facts;
+  }
+  // A batch whose second fact fails interns nothing of the first: the
+  // tenant's arity, and the batch's own.
+  DispatchOutcome tenant_arity = b.Assert("tc", "e(x1, y1). e(z1)");
+  EXPECT_EQ(tenant_arity.error_code, kErrParse);
+  EXPECT_NE(tenant_arity.error_message.find(
+                "relation 'e' used with arity 1 but declared with 2"),
+            std::string::npos)
+      << tenant_arity.error_message;
+  DispatchOutcome batch_arity = b.Assert("tc", "g(x2). g(x2, _w)");
+  EXPECT_EQ(batch_arity.error_code, kErrParse);
+  EXPECT_NE(batch_arity.error_message.find(
+                "relation 'g' used with arity 2 but declared with 1"),
+            std::string::npos)
+      << batch_arity.error_message;
+  EXPECT_EQ(syms.NumRelations(), relations);
+  EXPECT_EQ(syms.NumConstants(), constants);
+  EXPECT_EQ(syms.NumNulls(), nulls);
+  EXPECT_EQ(save("failed_writes_after.snap"), before);
+  // The failed retract of foo(a) declared nothing: foo/2 is free.
+  EXPECT_TRUE(b.Assert("tc", "foo(a, b)").ok);
+  DispatchOutcome q = b.Query("tc", "foo(X, Y) -> q(X, Y)");
+  EXPECT_EQ(Answers(q), std::vector<std::string>{"q(a, b)"});
 }
 
 TEST(DispatcherTest, QueryHeadNameAndArityAreFree) {
@@ -852,9 +908,9 @@ TEST(SocketServerTest, DifferentialAgainstInProcessKb) {
 // TSan target: 8 clients hammer 2 tenants with mixed queries, asserts,
 // and retracts. tc writers use per-client fresh constants (the delta
 // assert path) and retract their previous round's edge (the DRed
-// path); wg writers stick to the program's constants — a fresh
-// constant on the weakly guarded tenant re-grounds the whole theory,
-// which is exercised once, deterministically, after the storm.
+// path); wg writers repeat three edges over the program's constants on
+// the certified tenant, so each distinct edge is one delta pass and
+// every repeat a no-op; a fresh constant follows once, after the storm.
 TEST(SocketServerTest, MixedReadWriteHammer) {
   ServerOptions options;
   options.num_workers = 8;
@@ -920,21 +976,23 @@ TEST(SocketServerTest, MixedReadWriteHammer) {
   auto tc = client.Call(QueryFrame("tc", "e(X, Y) -> q(X, Y)"));
   ASSERT_TRUE(tc.ok());
   EXPECT_EQ(tc.value().Get("count")->as_number(), 3 + 4);
-  // The planner serves wg from the chase model: each of the three
-  // *distinct* new edges forced one re-chase (epoch bump), while every
-  // duplicate assert was a no-op delta — regardless of interleaving.
+  // The planner serves wg from its Skolem program: the three *distinct*
+  // new edges each ran a delta pass and every duplicate assert was a
+  // no-op delta, so all 4 writers × 12 asserts advanced seq within the
+  // first epoch — regardless of interleaving.
   auto wg = client.Call(QueryFrame("wg", "gen(X) -> q(X)"));
   ASSERT_TRUE(wg.ok());
   EXPECT_EQ(wg.value().Get("count")->as_number(), 1);
-  EXPECT_EQ(wg.value().Get("epoch")->as_number(), 4);
-  // ...and one genuinely new fact re-chases again: the epoch bumps and
-  // seq resets, the full-resync signal replicas key on.
-  auto regrounded = client.Call(AssertFrame("wg", "gen(z9)"));
-  ASSERT_TRUE(regrounded.ok());
-  ASSERT_EQ(regrounded.value().Get("status")->as_string(), "ok");
-  EXPECT_FALSE(regrounded.value().Get("delta")->as_bool());
-  EXPECT_EQ(regrounded.value().Get("epoch")->as_number(), 5);
-  EXPECT_EQ(regrounded.value().Get("seq")->as_number(), 0);
+  EXPECT_EQ(wg.value().Get("epoch")->as_number(), 1);
+  EXPECT_EQ(wg.value().Get("seq")->as_number(), 4 * kRounds);
+  // ...and a genuinely new fact, with a constant the program never saw,
+  // is one more delta step: no resync for replicas.
+  auto grown = client.Call(AssertFrame("wg", "gen(z9)"));
+  ASSERT_TRUE(grown.ok());
+  ASSERT_EQ(grown.value().Get("status")->as_string(), "ok");
+  EXPECT_TRUE(grown.value().Get("delta")->as_bool());
+  EXPECT_EQ(grown.value().Get("epoch")->as_number(), 1);
+  EXPECT_EQ(grown.value().Get("seq")->as_number(), 4 * kRounds + 1);
 }
 
 TEST(SocketServerTest, ShutdownSavesDirtyTenantsForWarmRestart) {

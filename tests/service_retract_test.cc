@@ -351,9 +351,9 @@ TEST(ServiceRetractTest, RematerializingRetractBumpsEpoch) {
   // The planner certifies kWgProgram (MFA) and serves it by chase.
   EXPECT_EQ(prep.prepare.mode, "chase");
 
-  // Chase mode has no DRed path: retracting gen(b) re-chases from the
-  // shrunk EDB, so the dispatcher must see delta=false and bump the
-  // epoch (replicas resync).
+  // The prepare-time chase records no derivation supports, so the first
+  // retract re-materializes through the Skolem program: the dispatcher
+  // must see delta=false and bump the epoch (replicas resync).
   DispatchOutcome r = b.Retract("wg", "gen(b)");
   ASSERT_TRUE(r.ok) << r.error_message;
   EXPECT_FALSE(r.retract.delta);

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "analyze/termination.h"
@@ -206,7 +207,8 @@ TEST(PreparedKbTest, PlannerCertifiesAndChasesTerminatingTheory) {
   EXPECT_EQ(stats.termination_certificate,
             CertificateKindName(CertificateKind::kWeaklyAcyclic));
   EXPECT_EQ(stats.chase_materializations, 1u);
-  EXPECT_EQ(stats.datalog_rules, 0u);
+  // Writes run on the theory itself, compiled as a Skolem program.
+  EXPECT_EQ(stats.datalog_rules, 2u);
   // The chase model is universal, so the e-query the pipeline flags as
   // possibly incomplete is decided exactly here: q(a) is certain (its
   // witness V may be a null; the answer tuple itself is ground).
@@ -218,28 +220,107 @@ TEST(PreparedKbTest, PlannerCertifiesAndChasesTerminatingTheory) {
   EXPECT_EQ(got.value().answers, want);
 }
 
-TEST(PreparedKbTest, ChaseModeAssertRechasesAndSkipsNoOps) {
+TEST(PreparedKbTest, ChaseModeAssertIsADeltaAndSkipsNoOps) {
   SymbolTable syms;
   Theory t = MustParseTheory(kWgTransitiveClosure, &syms);
   Database db = ParseDatabase("gen(a).", &syms).value();
   auto kb = MustPrepare(t, db, &syms);
   ASSERT_EQ(kb->mode(), PreparedKb::Mode::kChaseMaterialized);
-  // A genuinely new fact has no delta path in chase mode: the model is
-  // rebuilt by a fresh chase from the grown EDB.
+  // A genuinely new fact runs a semi-naive delta pass over the Skolem
+  // program: gen(b) derives e(b, n) for one fresh null n.
+  const uint32_t nulls = syms.NumNulls();
   Result<AssertResult> grow = kb->Assert({ParseAtom("gen(b)", &syms).value()});
   ASSERT_TRUE(grow.ok()) << grow.status().message();
-  EXPECT_FALSE(grow.value().delta);
+  EXPECT_TRUE(grow.value().delta);
   EXPECT_EQ(grow.value().new_atoms, 1u);
-  // Re-asserting an EDB fact is a no-op: no re-chase, delta reply.
+  EXPECT_EQ(grow.value().derived_atoms, 1u);
+  EXPECT_EQ(syms.NumNulls(), nulls + 1);
+  // Re-asserting an EDB fact runs no pass: a delta reply, nothing new.
   Result<AssertResult> dup = kb->Assert({ParseAtom("gen(b)", &syms).value()});
   ASSERT_TRUE(dup.ok());
   EXPECT_TRUE(dup.value().delta);
   EXPECT_EQ(dup.value().new_atoms, 0u);
-  Rule cq = MustParseRule("gen(X) -> q(X)", &syms);
+  EXPECT_EQ(dup.value().derived_atoms, 0u);
+  ServiceStats stats = kb->stats();
+  EXPECT_EQ(stats.delta_asserts, 2u);
+  EXPECT_EQ(stats.rematerializations, 0u);
+  EXPECT_EQ(stats.chase_materializations, 1u);  // Prepare's only.
+  Rule cq = MustParseRule("e(X, Y) -> q(X)", &syms);
   Result<PreparedQueryResult> got = kb->Query(cq);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got.value().complete);
-  EXPECT_EQ(got.value().answers.size(), 2u);
+  std::set<std::vector<Term>> want = {{syms.Constant("a")},
+                                      {syms.Constant("b")}};
+  EXPECT_EQ(got.value().answers, want);
+}
+
+// The atoms of `atoms` that hold no labeled null.
+std::unordered_set<Atom, AtomHash> GroundFacts(const std::vector<Atom>& atoms) {
+  std::unordered_set<Atom, AtomHash> out;
+  for (const Atom& a : atoms) {
+    if (a.IsGroundOverConstants()) out.insert(a);
+  }
+  return out;
+}
+
+TEST(PreparedKbTest, ChaseModeWritesReuseSkolemNulls) {
+  SymbolTable syms;
+  Theory t = MustParseTheory(kWgTransitiveClosure, &syms);
+  Database db = ParseDatabase("gen(a). gen(b). gen(c). e(a, b).", &syms)
+                    .value();
+  auto kb = MustPrepare(t, db, &syms);
+  ASSERT_EQ(kb->mode(), PreparedKb::Mode::kChaseMaterialized);
+  // e(b, c) joins c's null successor onto the a→b chain: asserting it
+  // derives e(b, n_c), e(a, c) and e(a, n_c); retracting it deletes them.
+  const Atom edge = ParseAtom("e(b, c)", &syms).value();
+  Database with_edge = db;
+  with_edge.Insert(edge);
+  const uint32_t nulls = syms.NumNulls();
+  // A fresh Prepare of the same EDB, on a copy of the table so that its
+  // chase mints no null in the live one.
+  auto expect_fresh = [&](const Database& edb, int round) {
+    SymbolTable fresh_syms = syms;
+    auto fresh = MustPrepare(t, edb, &fresh_syms);
+    EXPECT_EQ(kb->model_size(), fresh->model_size()) << "round " << round;
+    EXPECT_EQ(GroundFacts(kb->ModelAtoms()), GroundFacts(fresh->ModelAtoms()))
+        << "round " << round;
+  };
+  for (int round = 0; round < 50; ++round) {
+    Result<AssertResult> a = kb->Assert({edge});
+    ASSERT_TRUE(a.ok()) << a.status().message();
+    EXPECT_TRUE(a.value().delta);
+    expect_fresh(with_edge, round);
+    Result<RetractResult> r = kb->Retract({edge});
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    expect_fresh(db, round);
+  }
+  // Every re-derived atom got its null back from the Skolem table.
+  EXPECT_EQ(syms.NumNulls(), nulls);
+  ServiceStats stats = kb->stats();
+  EXPECT_EQ(stats.delta_asserts, 50u);
+  // The chase records no supports, so the first retract re-materializes
+  // through the program (which records them); every later one is DRed.
+  EXPECT_EQ(stats.retracts_rematerialized, 1u);
+  EXPECT_EQ(stats.retracts_dred, 49u);
+  EXPECT_EQ(stats.chase_materializations, 1u);
+}
+
+TEST(PreparedKbTest, DuplicateAssertKeepsCachedAnswers) {
+  SymbolTable syms;
+  Theory t = MustParseTheory(kDatalogTc, &syms);
+  Database db = ParseDatabase("e(a, b). e(b, c).", &syms).value();
+  auto kb = MustPrepare(t, db, &syms);
+  Rule cq = MustParseRule("t(U, V) -> q(U, V)", &syms);
+  EXPECT_FALSE(kb->Query(cq).value().cache_hit);
+  Result<AssertResult> dup = kb->Assert({ParseAtom("e(a, b)", &syms).value()});
+  ASSERT_TRUE(dup.ok());
+  EXPECT_TRUE(dup.value().delta);
+  EXPECT_EQ(dup.value().new_atoms, 0u);
+  Result<PreparedQueryResult> after = kb->Query(cq);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after.value().cache_hit);
+  EXPECT_EQ(after.value().answers.size(), 3u);
+  EXPECT_EQ(kb->stats().cache_evicted_entries, 0u);
 }
 
 TEST(PreparedKbTest, WeaklyGuardedRecompilesOnNewConstant) {

@@ -124,6 +124,60 @@ TEST_F(SnapshotTest, LoadedKbAcceptsAsserts) {
   EXPECT_TRUE(r.value().answers.count({c}));
 }
 
+TEST_F(SnapshotTest, WarmStartKeepsNamedNulls) {
+  // A CQ naming the EDB's `_x` must match it warm as it does cold: the
+  // image carries the named nulls' names, not just the null counter.
+  SymbolTable syms;
+  Program program =
+      ParseProgram("p(X, Y) -> r(X, Y).\np(_x, a). p(b, c).\n", &syms).value();
+  Result<std::unique_ptr<PreparedKb>> kb =
+      PreparedKb::Prepare(program.theory, program.database, &syms);
+  ASSERT_TRUE(kb.ok()) << kb.status().message();
+  auto answers = [](PreparedKb* kb, SymbolTable* syms) {
+    Rule cq = ParseRule("p(_x, Y) -> q(Y)", syms).value();
+    Result<PreparedQueryResult> r = kb->Query(cq);
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    return r.value().answers;
+  };
+  std::set<std::vector<Term>> cold = answers(kb.value().get(), &syms);
+  EXPECT_EQ(cold, (std::set<std::vector<Term>>{{syms.Constant("a")}}));
+  ASSERT_TRUE(kb.value()->SaveSnapshot(path_).ok());
+
+  SymbolTable loaded_syms;
+  Result<std::unique_ptr<PreparedKb>> loaded =
+      PreparedKb::LoadSnapshot(path_, &loaded_syms);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded_syms.FindNamedNull("_x"), syms.FindNamedNull("_x"));
+  EXPECT_EQ(answers(loaded.value().get(), &loaded_syms), cold);
+}
+
+TEST_F(SnapshotTest, WarmChaseTenantMintsTheColdNulls) {
+  SymbolTable syms;
+  auto kb = PrepareWg(&syms);
+  ASSERT_EQ(kb->mode(), PreparedKb::Mode::kChaseMaterialized);
+  ASSERT_TRUE(kb->SaveSnapshot(path_).ok());
+  SymbolTable loaded_syms;
+  Result<std::unique_ptr<PreparedKb>> loaded =
+      PreparedKb::LoadSnapshot(path_, &loaded_syms);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ(loaded.value()->datalog_rules(), kb->datalog_rules());
+  // e(c, a) closes a cycle through a's null successor (a Skolem table
+  // hit) and gen(b) mints a new null: both tenants must derive the same
+  // atoms with the same null ids.
+  const char* facts = "e(c, a). gen(b).";
+  Result<AssertResult> cold =
+      kb->Assert(ParseDatabase(facts, &syms).value().AtomsVector());
+  Result<AssertResult> warm = loaded.value()->Assert(
+      ParseDatabase(facts, &loaded_syms).value().AtomsVector());
+  ASSERT_TRUE(cold.ok()) << cold.status().message();
+  ASSERT_TRUE(warm.ok()) << warm.status().message();
+  EXPECT_TRUE(warm.value().delta);
+  EXPECT_GT(cold.value().derived_atoms, 0u);
+  EXPECT_EQ(warm.value().derived_atoms, cold.value().derived_atoms);
+  EXPECT_EQ(loaded_syms.NumNulls(), syms.NumNulls());
+  EXPECT_TRUE(loaded.value()->ModelAtoms() == kb->ModelAtoms());
+}
+
 TEST_F(SnapshotTest, LoadRequiresFreshSymbolTable) {
   SymbolTable syms;
   auto kb = PrepareWg(&syms);
@@ -254,6 +308,48 @@ void PutU32(std::string* out, uint32_t v) {
   }
 }
 
+uint32_t GetU32(const std::string& image, size_t at) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(image[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+// Replaces the payload's last `old_len` bytes by `tail` and rewrites the
+// header's payload size to match (LoadResealed recomputes the checksum).
+std::string WithPayloadTail(const std::string& image, size_t old_len,
+                            const std::string& tail) {
+  std::string out = image.substr(0, image.size() - 8 - old_len) + tail +
+                    image.substr(image.size() - 8);
+  uint64_t payload = out.size() - kHeaderBytes - 8;
+  for (int i = 0; i < 8; ++i) {
+    out[12 + i] = static_cast<char>((payload >> (8 * i)) & 0xFF);
+  }
+  return out;
+}
+
+// A serialized Skolem table: u64 count, then (rule, frontier, nulls).
+struct SkolemRecord {
+  uint32_t rule;
+  std::vector<uint32_t> frontier;
+  std::vector<uint32_t> nulls;
+};
+
+std::string SkolemTableBytes(const std::vector<SkolemRecord>& records) {
+  std::string out;
+  PutU32(&out, static_cast<uint32_t>(records.size()));
+  PutU32(&out, 0);
+  for (const SkolemRecord& r : records) {
+    PutU32(&out, r.rule);
+    PutU32(&out, static_cast<uint32_t>(r.frontier.size()));
+    for (uint32_t bits : r.frontier) PutU32(&out, bits);
+    PutU32(&out, static_cast<uint32_t>(r.nulls.size()));
+    for (uint32_t bits : r.nulls) PutU32(&out, bits);
+  }
+  return out;
+}
+
 // The serialized record of a binary atom without annotation.
 std::string AtomBytes(RelationId pred, Term a, Term b) {
   std::string out;
@@ -379,6 +475,99 @@ TEST_F(MalformedSnapshotTest, RejectsUnknownCertificateKind) {
   EXPECT_NE(loaded.status().message().find("corrupt payload"),
             std::string::npos)
       << loaded.status().message();
+}
+
+TEST_F(MalformedSnapshotTest, RejectsMalformedSkolemEntries) {
+  // gen(a) fired once, so the fixture's Skolem table is one entry that
+  // ends the payload: (rule, [a], [n]), 28 bytes with the count.
+  const size_t table_bytes = 8 + 20;
+  const size_t entry_at = image_.size() - 8 - 20;
+  const uint32_t rule = GetU32(image_, entry_at);
+  const uint32_t a = GetU32(image_, entry_at + 8);
+  const uint32_t n = GetU32(image_, entry_at + 16);
+  ASSERT_EQ(a, syms_.Constant("a").bits());
+  const SkolemRecord clean = {rule, {a}, {n}};
+  ASSERT_EQ(SkolemTableBytes({clean}),
+            image_.substr(image_.size() - 8 - table_bytes, table_bytes));
+  const std::pair<const char*, std::vector<SkolemRecord>> corruptions[] = {
+      {"rule past the program", {{99, {a}, {n}}}},
+      {"Datalog rule", {{rule == 0 ? 1u : 0u, {a}, {n}}}},
+      {"frontier too long", {{rule, {a, a}, {n}}}},
+      {"frontier too short", {{rule, {}, {n}}}},
+      {"too many nulls", {{rule, {a}, {n, n}}}},
+      {"no null", {{rule, {a}, {}}}},
+      {"variable in the frontier", {{rule, {Term::Variable(0).bits()}, {n}}}},
+      {"unknown constant in the frontier",
+       {{rule, {Term::Constant(0x3FFFFFF0u).bits()}, {n}}}},
+      {"constant for a null", {{rule, {a}, {a}}}},
+      {"null at the counter",
+       {{rule, {a}, {Term::Null(syms_.NumNulls()).bits()}}}},
+      {"repeated entry", {clean, clean}},
+  };
+  for (const auto& [what, records] : corruptions) {
+    Result<std::unique_ptr<PreparedKb>> loaded = LoadResealed(
+        WithPayloadTail(image_, table_bytes, SkolemTableBytes(records)));
+    ASSERT_FALSE(loaded.ok()) << "accepted a Skolem entry with " << what;
+    EXPECT_NE(loaded.status().message().find("corrupt payload"),
+              std::string::npos)
+        << what << ": " << loaded.status().message();
+  }
+}
+
+TEST_F(MalformedSnapshotTest, RejectsAChaseProgramOtherThanTheTheory) {
+  // A chase-mode image stores the normalized theory three times: as
+  // itself, as the weakly guarded theory, and as the Skolem program. A
+  // program whose node(X) head reads node(Y) is not the theory.
+  std::string head;
+  PutU32(&head, syms_.Relation("node"));
+  PutU32(&head, 1);
+  PutU32(&head, syms_.Variable("X").bits());
+  PutU32(&head, 0);
+  size_t at = kHeaderBytes;
+  for (int copy = 0; copy < 3; ++copy) {
+    at = image_.find(head, copy == 0 ? at : at + head.size());
+    ASSERT_NE(at, std::string::npos) << "copy " << copy;
+  }
+  Result<std::unique_ptr<PreparedKb>> loaded =
+      LoadResealed(Patched(at + 8, syms_.Variable("Y").bits()));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("corrupt payload"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
+TEST_F(MalformedSnapshotTest, RejectsMalformedNamedNulls) {
+  // An image whose named nulls _x and _y hold ids 0 and 1: each patch
+  // below repeats a name or an id, or points past the null counter.
+  SymbolTable syms;
+  Program program =
+      ParseProgram("p(X) -> r(X).\np(_x). p(_y).\n", &syms).value();
+  Result<std::unique_ptr<PreparedKb>> kb =
+      PreparedKb::Prepare(program.theory, program.database, &syms);
+  ASSERT_TRUE(kb.ok()) << kb.status().message();
+  ASSERT_TRUE(kb.value()->SaveSnapshot(path_).ok());
+  const std::string image = ReadImage(path_);
+  const std::string y_record = std::string("\x02\0\0\0_y", 6);
+  const size_t y_at = image.find(y_record, kHeaderBytes);
+  ASSERT_NE(y_at, std::string::npos);
+  const size_t y_id_at = y_at + y_record.size();
+  ASSERT_EQ(GetU32(image, y_id_at), syms.FindNamedNull("_y").id());
+  ASSERT_TRUE(LoadResealed(image).ok());
+  std::string repeated_name = image;
+  repeated_name[y_at + 5] = 'x';
+  std::string repeated_id = image;
+  repeated_id.replace(y_id_at, 4, std::string(4, '\0'));
+  std::string past_counter = image;
+  std::string counter;
+  PutU32(&counter, syms.NumNulls());
+  past_counter.replace(y_id_at, 4, counter);
+  for (const std::string& bad : {repeated_name, repeated_id, past_counter}) {
+    Result<std::unique_ptr<PreparedKb>> loaded = LoadResealed(bad);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("corrupt payload"),
+              std::string::npos)
+        << loaded.status().message();
+  }
 }
 
 TEST_F(SnapshotTest, MissingFileIsAnError) {
