@@ -87,6 +87,67 @@ bool Database::Contains(const Atom& atom) const {
   return set_.count(atom) > 0;
 }
 
+size_t Database::Erase(const std::vector<uint8_t>& erase,
+                       std::vector<uint32_t>* remap) {
+  GEREL_CHECK(erase.size() == size_);
+  GEREL_CHECK(indexed_upto_ == size_);  // No deferred postings pending.
+  remap->clear();
+  const size_t first = static_cast<size_t>(
+      std::find_if(erase.begin(), erase.end(),
+                   [](uint8_t e) { return e != 0; }) -
+      erase.begin());
+  if (first == size_) return first;
+  // Number the survivors and collect the position keys of every atom from
+  // `first` on: only those postings lists hold indices that move.
+  remap->resize(size_ - first);
+  std::vector<PositionKey> keys;
+  uint32_t next = static_cast<uint32_t>(first);
+  for (size_t i = first; i < size_; ++i) {
+    const Atom& a = atom(i);
+    if (erase[i]) {
+      (*remap)[i - first] = kErased;
+      set_.erase(a);
+    } else {
+      (*remap)[i - first] = next++;
+    }
+    if (!position_index_enabled_) continue;
+    uint32_t pos = 0;
+    for (Term t : a.args) keys.emplace_back(a.pred, pos++, t);
+    for (Term t : a.annotation) keys.emplace_back(a.pred, pos++, t);
+  }
+  // Postings ascend, so each list is rewritten from `first` on; the
+  // remap is monotone on survivors, so the rewritten lists still ascend.
+  auto rewrite = [&](std::vector<uint32_t>* postings) {
+    auto out = std::lower_bound(postings->begin(), postings->end(),
+                                static_cast<uint32_t>(first));
+    for (auto it = out; it != postings->end(); ++it) {
+      uint32_t to = (*remap)[*it - first];
+      if (to != kErased) *out++ = to;
+    }
+    postings->erase(out, postings->end());
+  };
+  for (auto it = by_relation_.begin(); it != by_relation_.end();) {
+    rewrite(&it->second);
+    it = it->second.empty() ? by_relation_.erase(it) : std::next(it);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (const PositionKey& k : keys) {
+    auto it = by_position_.find(k);
+    rewrite(&it->second);
+    if (it->second.empty()) by_position_.erase(it);
+  }
+  for (size_t i = first; i < size_; ++i) {
+    uint32_t to = (*remap)[i - first];
+    if (to != kErased && to != i) slot(to) = std::move(slot(i));
+  }
+  for (size_t i = next; i < size_; ++i) slot(i) = Atom();  // Frees args.
+  size_ = next;
+  indexed_upto_ = next;
+  segments_.resize((size_ + kSegmentMask) >> kSegmentBits);
+  return first;
+}
+
 std::vector<Atom> Database::AtomsVector() const {
   std::vector<Atom> out;
   size_t n = size();

@@ -3,9 +3,10 @@
 // homomorphism matcher, the chase, and the Datalog engine.
 //
 // Storage layout: atoms live in fixed-size segments behind a slot
-// directory, so a stored atom never moves. JoinExecutor::ExecuteSeeded
-// holds a reference to db.atom(i) as its seed while a db_grows visitor
-// inserts into the same database.
+// directory, so inserting never moves a stored atom.
+// JoinExecutor::ExecuteSeeded holds a reference to db.atom(i) as its seed
+// while a db_grows visitor inserts into the same database. Erase does move
+// atoms, so it must never run while a join reads the database.
 //
 // Threading contract: a Database has a single owner. All mutation goes
 // through one thread; concurrent readers are safe only while no thread
@@ -30,11 +31,15 @@ namespace gerel {
 
 class Theory;
 
-// An append-only set of database atoms (ground over constants/nulls).
-// Atom identities are dense indices [0, size()); insertion order is
-// preserved, which the chase relies on for fairness.
+// A set of database atoms (ground over constants/nulls). Atom identities
+// are dense indices [0, size()); insertion order is preserved, which the
+// chase relies on for fairness. Erase removes a batch of atoms and keeps
+// the survivors in that order.
 class Database {
  public:
+  // Erase's remap value for a removed atom.
+  static constexpr uint32_t kErased = 0xffffffffu;
+
   Database() = default;
   Database(const Database& other) { CopyFrom(other); }
   Database& operator=(const Database& other);
@@ -52,6 +57,15 @@ class Database {
   void IndexNewAtoms();
 
   bool Contains(const Atom& atom) const;
+
+  // Removes every atom i with erase[i] != 0 (erase.size() == size()) and
+  // returns `first`, the lowest removed index (size() if none). Survivors
+  // keep their relative order: atoms below `first` keep their index, and
+  // (*remap)[i - first] is the new index of atom i >= first, or kErased.
+  // Removed atoms leave the dedup set and the postings (a re-insert
+  // appends them at the end). CHECK-fails while postings are deferred.
+  size_t Erase(const std::vector<uint8_t>& erase,
+               std::vector<uint32_t>* remap);
 
   size_t size() const { return size_; }
   bool empty() const { return size() == 0; }
@@ -158,6 +172,10 @@ class Database {
     friend bool operator==(const PositionKey& a, const PositionKey& b) {
       return a.pred_pos == b.pred_pos && a.term == b.term;
     }
+    friend bool operator<(const PositionKey& a, const PositionKey& b) {
+      return a.pred_pos != b.pred_pos ? a.pred_pos < b.pred_pos
+                                      : a.term < b.term;
+    }
   };
   struct PositionKeyHash {
     size_t operator()(const PositionKey& k) const {
@@ -170,6 +188,9 @@ class Database {
 
   void CopyFrom(const Database& other);
   void MoveFrom(Database* other);
+  Atom& slot(size_t i) {
+    return (*segments_[i >> kSegmentBits])[i & kSegmentMask];
+  }
 
   std::vector<std::unique_ptr<Segment>> segments_;
   size_t size_ = 0;

@@ -75,6 +75,19 @@ struct Rederiver {
   }
 };
 
+// The index of `a` in `db`, found through its postings; -1 if absent.
+int64_t FindAtom(const Database& db, const Atom& a) {
+  const std::vector<uint32_t>* postings = &db.AtomsOf(a.pred);
+  if (db.position_index_enabled() && !a.args.empty()) {
+    const std::vector<uint32_t>& cand = db.AtomsAt(a.pred, 0, a.args[0]);
+    if (cand.size() < postings->size()) postings = &cand;
+  }
+  for (uint32_t ai : *postings) {
+    if (db.atom(ai) == a) return ai;
+  }
+  return -1;
+}
+
 }  // namespace
 
 PreparedKb::PreparedKb(SymbolTable* symbols, const PreparedKbOptions& options)
@@ -665,14 +678,21 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
     return out;
   }
 
-  // Which active-domain terms vanish with the retracted facts: count
-  // every term occurrence in the (non-acdom) EDB, subtract the retracted
-  // occurrences, and a term whose count hits zero leaves the domain
-  // unless it is a program constant (PopulateAcdom's two sources).
-  std::unordered_map<uint32_t, size_t> occurrences;
+  // The surviving EDB, read by both paths (an overdeleted atom that is
+  // still a base fact must not be deleted).
+  std::vector<uint8_t> erase(edb_.size(), 0);
+  for (const Atom& f : targets) erase[FindAtom(edb_, f)] = 1;
+  std::vector<uint32_t> remap;
+  edb_.Erase(erase, &remap);
+
+  // Which active-domain terms vanish with the retracted facts: a
+  // retracted term that no surviving (non-acdom) EDB atom holds leaves
+  // the domain unless it is a program constant (PopulateAcdom's two
+  // sources).
+  std::unordered_set<uint32_t> occurring;
   for (const Atom& a : edb_.atoms()) {
     if (a.pred == acdom_) continue;
-    for (Term t : a.AllTerms()) ++occurrences[t.bits()];
+    for (Term t : a.AllTerms()) occurring.insert(t.bits());
   }
   // The exclusion set must be the *source* theory's constants, not the
   // compiled program's: in wg mode the partial grounding bakes EDB
@@ -684,19 +704,15 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
     program_constants.insert(t.bits());
   }
   bool null_retracted = false;
+  std::vector<Term> vanished;
+  std::unordered_set<uint32_t> vanished_seen;
   for (const Atom& f : targets) {
     for (Term t : f.AllTerms()) {
       if (t.IsNull()) null_retracted = true;
     }
     if (f.pred == acdom_) continue;
-    for (Term t : f.AllTerms()) --occurrences[t.bits()];
-  }
-  std::vector<Term> vanished;
-  std::unordered_set<uint32_t> vanished_seen;
-  for (const Atom& f : targets) {
-    if (f.pred == acdom_) continue;
     for (Term t : f.AllTerms()) {
-      if (occurrences[t.bits()] == 0 &&
+      if (occurring.count(t.bits()) == 0 &&
           program_constants.count(t.bits()) == 0 &&
           vanished_seen.insert(t.bits()).second) {
         vanished.push_back(t);
@@ -719,38 +735,19 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
                    (wg_domain_shrinks || null_retracted);
   bool fallback = recompile || program_->has_negation() || !supports_valid_;
 
-  // The surviving EDB, needed by both paths (an overdeleted atom that is
-  // still a base fact must not be deleted).
-  Database new_edb;
-  for (const Atom& a : edb_.atoms()) {
-    if (targets.count(a) == 0) new_edb.Insert(a);
-  }
-
-  size_t overdeleted = 0;
-  size_t rederived = 0;
-  bool dred_ok = false;
-  if (!fallback) {
-    Database new_model;
-    SupportLog new_log;
-    dred_ok = RetractDRed(targets, vanished, new_edb, &new_model, &new_log,
-                          &overdeleted, &rederived);
-    if (dred_ok) {
-      edb_ = std::move(new_edb);
-      model_ = std::move(new_model);
-      supports_ = std::move(new_log);
-      supports_valid_ = true;
-      out.overdeleted_atoms = overdeleted;
-      out.rederived_atoms = rederived;
-    }
-  }
+  bool dred_ok = !fallback &&
+                 RetractDRed(targets, vanished, &out.overdeleted_atoms,
+                             &out.rederived_atoms);
   double transform_ms = 0.0;
   double materialize_ms = 0.0;
   if (!dred_ok) {
     // Fallback: rebuild the model from the surviving EDB (recompiling
     // the data-dependent stages first when the wg grounding is stale).
     // A budget that tripped mid-DRed degrades this pass too — the model
-    // stays a sound under-approximation, never unsound.
-    edb_ = std::move(new_edb);
+    // stays a sound under-approximation, never unsound — and the rebuild
+    // replaces a partly pruned model and support log.
+    out.overdeleted_atoms = 0;
+    out.rederived_atoms = 0;
     if (recompile) {
       Clock::time_point transform_start = Clock::now();
       Status s = CompileProgram();
@@ -796,41 +793,31 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
 
 bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
                              const std::vector<Term>& vanished,
-                             const Database& new_edb, Database* new_model,
-                             SupportLog* new_log, size_t* overdeleted,
-                             size_t* rederived) const {
+                             size_t* overdeleted, size_t* rederived) {
   const size_t n = model_.size();
   std::vector<uint8_t> deleted(n, 0);
-  auto find_index = [&](const Atom& a) -> int64_t {
-    const std::vector<uint32_t>* postings = &model_.AtomsOf(a.pred);
-    if (model_.position_index_enabled() && !a.args.empty()) {
-      const std::vector<uint32_t>& cand = model_.AtomsAt(a.pred, 0, a.args[0]);
-      if (cand.size() < postings->size()) postings = &cand;
-    }
-    for (uint32_t ai : *postings) {
-      if (model_.atom(ai) == a) return ai;
-    }
-    return -1;
-  };
   // Seed deletions: the retracted facts themselves plus the acdom atoms
   // of terms leaving the active domain.
-  for (const Atom& f : targets) {
-    int64_t i = find_index(f);
-    if (i >= 0) deleted[i] = 1;  // EDB ⊆ model, so this always hits.
-  }
-  for (Term t : vanished) {
-    int64_t i = find_index(Atom(acdom_, {t}));
-    if (i >= 0) deleted[i] = 1;
-  }
+  size_t lowest_seed = n;
   size_t seeds = 0;
-  for (size_t i = 0; i < n; ++i) seeds += deleted[i];
+  auto seed = [&](const Atom& a) {
+    int64_t i = FindAtom(model_, a);
+    if (i < 0 || deleted[i]) return;
+    deleted[i] = 1;
+    ++seeds;
+    lowest_seed = std::min(lowest_seed, static_cast<size_t>(i));
+  };
+  for (const Atom& f : targets) seed(f);  // EDB ⊆ model: always a hit.
+  for (Term t : vanished) seed(Atom(acdom_, {t}));
 
-  // Overdelete: one forward pass suffices because supports are
-  // well-founded — every recorded body index precedes the derived
-  // atom's index, so deleted[] is final for all support members by the
-  // time atom i is visited.
+  // Overdelete: one forward pass from the lowest seed suffices because
+  // supports are well-founded — every recorded body index precedes the
+  // derived atom's index, so no atom below the lowest seed loses its
+  // witness, and deleted[] is final for all support members by the time
+  // atom i is visited.
   if (!budget_->CheckRound(GovernedStage::kDatalog, 1, n)) return false;
-  for (size_t i = 0; i < n; ++i) {
+  size_t total_deleted = seeds;
+  for (size_t i = lowest_seed; i < n; ++i) {
     if (deleted[i]) continue;
     if (!budget_->CheckPoint(GovernedStage::kDatalog)) return false;
     SupportLog::Entry e = supports_.Of(i);
@@ -844,42 +831,28 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
     }
     if (!dead) continue;
     // An atom that is still a base fact survives its lost witness.
-    if (new_edb.Contains(model_.atom(i))) continue;
+    if (edb_.Contains(model_.atom(i))) continue;
     deleted[i] = 1;
+    ++total_deleted;
   }
-  size_t total_deleted = 0;
-  for (size_t i = 0; i < n; ++i) total_deleted += deleted[i];
   *overdeleted = total_deleted - seeds;
 
-  // Prune: rebuild the surviving model in order, remapping supports.
-  // A surviving atom whose witness cites a deleted atom is exactly the
-  // base-fact case above; it degrades to a no-rule entry.
-  std::vector<uint32_t> remap(n, 0);
-  std::vector<uint32_t> body_scratch;
-  for (size_t i = 0; i < n; ++i) {
-    if (deleted[i]) continue;
-    new_model->Insert(model_.atom(i));
-    uint32_t ni = static_cast<uint32_t>(new_model->size() - 1);
-    remap[i] = ni;
-    SupportLog::Entry e = supports_.Of(i);
-    if (e.rule == SupportLog::kNoRule) continue;
-    bool stale = false;
-    body_scratch.clear();
-    for (uint32_t p = e.begin; p < e.end; ++p) {
-      if (deleted[supports_.pool[p]]) {
-        stale = true;
-        break;
-      }
-      body_scratch.push_back(remap[supports_.pool[p]]);
-    }
-    if (stale) continue;
-    new_log->Record(ni, e.rule, body_scratch.data(), body_scratch.size());
+  // Prune in place, after copying the candidates out. Survivors keep
+  // their order; a surviving atom whose witness cites a deleted atom is
+  // exactly the base-fact case above and becomes a base entry.
+  std::vector<Atom> candidates;
+  candidates.reserve(total_deleted);
+  for (size_t i = lowest_seed; i < n; ++i) {
+    if (deleted[i]) candidates.push_back(model_.atom(i));
   }
+  std::vector<uint32_t> remap;
+  size_t first = model_.Erase(deleted, &remap);
+  supports_.Compact(first, remap);
 
   // Rederive: an overdeleted atom may still be entailed by the pruned
   // model (a second derivation the single-witness log did not record, or
   // via atoms rederived this round). For each candidate, unify it with a
-  // rule head and join the rule's body over the new model; repeat until
+  // rule head and join the rule's body over the pruned model; repeat until
   // a pass restores nothing. This converges to exactly the least model
   // of the surviving EDB: every candidate is in the old model, so no
   // new atoms can appear, and any entailed candidate is eventually
@@ -896,11 +869,6 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
   // The rederivers of the (rule, head) pairs candidates reach, built on
   // first use.
   std::unordered_map<uint64_t, Rederiver> rederivers;
-  std::vector<Atom> candidates;
-  candidates.reserve(total_deleted);
-  for (size_t i = 0; i < n; ++i) {
-    if (deleted[i]) candidates.push_back(model_.atom(i));
-  }
   JoinExecutor exec;
   std::vector<Term> values;
   std::vector<Term> frontier;
@@ -960,7 +928,7 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
       }
       bool found = false;
       exec.Execute(
-          d.plan, *new_model,
+          d.plan, model_,
           [&](const JoinExecutor& e) {
             *out_rule = ri;
             *out_body = e.MatchedAtomIndices();
@@ -973,23 +941,22 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
     return false;
   };
   std::vector<char> restored(candidates.size(), 0);
+  std::vector<uint32_t> body;
   uint64_t round = 1;
   bool progress = true;
   while (progress) {
     progress = false;
     if (!budget_->CheckRound(GovernedStage::kDatalog, ++round,
-                             new_model->size())) {
+                             model_.size())) {
       return false;
     }
     for (size_t ci = 0; ci < candidates.size(); ++ci) {
       if (restored[ci]) continue;
       if (!budget_->CheckPoint(GovernedStage::kDatalog)) return false;
       uint32_t rule = 0;
-      body_scratch.clear();
-      if (!try_rederive(candidates[ci], &rule, &body_scratch)) continue;
-      new_model->Insert(candidates[ci]);
-      new_log->Record(new_model->size() - 1, rule, body_scratch.data(),
-                      body_scratch.size());
+      if (!try_rederive(candidates[ci], &rule, &body)) continue;
+      model_.Insert(candidates[ci]);
+      supports_.Record(model_.size() - 1, rule, body.data(), body.size());
       restored[ci] = 1;
       ++*rederived;
       progress = true;

@@ -36,8 +36,9 @@
 //   Retract:  remove EDB facts incrementally by DRed (delete/re-derive):
 //             a per-atom derivation-support log recorded during
 //             materialization overdeletes the support cascade in one
-//             forward pass, the pruned model is rebuilt, and overdeleted
-//             atoms are rederived against it by rerunning their rules —
+//             forward pass, the dead atoms are erased from the model and
+//             the log in place, and overdeleted atoms are rederived
+//             against the pruned model by rerunning their rules —
 //             a Skolem head only rederives an atom holding the nulls its
 //             table gives the frontier — so the result is exactly the
 //             least model of the surviving EDB. Falls back to an
@@ -285,14 +286,13 @@ class PreparedKb {
   // counters.
   void EvictCacheForWrite(std::unordered_set<RelationId> written,
                           bool domain_changed);
-  // The DRed core: overdelete/prune/rederive against `new_edb` into
-  // *new_model / *new_log. Returns false when the budget tripped
-  // mid-retract; the caller falls back to re-materialization.
-  // model_/supports_ are read, not written.
+  // The DRed core: overdelete against the surviving edb_, prune model_
+  // and supports_ in place, then rederive into them. Returns false when
+  // the budget tripped mid-retract, possibly after the prune; the caller
+  // falls back to re-materialization, which rebuilds both.
   bool RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
-                   const std::vector<Term>& vanished, const Database& new_edb,
-                   Database* new_model, SupportLog* new_log,
-                   size_t* overdeleted, size_t* rederived) const;
+                   const std::vector<Term>& vanished, size_t* overdeleted,
+                   size_t* rederived);
   // Completeness certificate for a query: the materialized model decides
   // the certain answers — either it is a universal model (chase mode) or
   // no body relation of `cq` can hold a labeled null in the chase.

@@ -253,5 +253,118 @@ TEST(DatabaseTest, CopyIsDeepAndMoveKeepsEverything) {
   EXPECT_EQ(copy.AtomsOf(s), std::vector<uint32_t>{0});
 }
 
+// Erase tests: a database spanning three segments whose s-atoms start
+// at index 630, so the erase below leaves a prefix untouched.
+class DatabaseEraseTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    r_ = syms_.Relation("r", 2);
+    s_ = syms_.Relation("s", 1);
+    for (int i = 0; i < 40; ++i) {
+      consts_.push_back(syms_.Constant(IndexedName("c", i)));
+    }
+    for (int i = 0; i < 40; ++i) {
+      for (int j = 0; j < 30; ++j) {
+        db_.Insert(Atom(r_, {consts_[i], consts_[j]}));
+      }
+      if (i >= 20) db_.Insert(Atom(s_, {consts_[i]}));
+    }
+    before_ = db_.AtomsVector();
+  }
+
+  // The postings a fresh scan of `db` gives: indices of atoms of `pred`
+  // (with `t` at `pos` when pos >= 0), ascending.
+  static std::vector<uint32_t> Scan(const Database& db, RelationId pred,
+                                    int pos, Term t) {
+    std::vector<uint32_t> out;
+    for (size_t i = 0; i < db.size(); ++i) {
+      const Atom& a = db.atom(i);
+      if (a.pred == pred && (pos < 0 || a.TermAt(pos) == t)) {
+        out.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    return out;
+  }
+
+  // Every postings list of `db` equals a fresh scan.
+  void ExpectPostingsMatchScan(const Database& db) {
+    EXPECT_EQ(db.AtomsOf(r_), Scan(db, r_, -1, Term()));
+    EXPECT_EQ(db.AtomsOf(s_), Scan(db, s_, -1, Term()));
+    for (Term c : consts_) {
+      EXPECT_EQ(db.AtomsAt(r_, 0, c), Scan(db, r_, 0, c));
+      EXPECT_EQ(db.AtomsAt(r_, 1, c), Scan(db, r_, 1, c));
+      EXPECT_EQ(db.AtomsAt(s_, 0, c), Scan(db, s_, 0, c));
+    }
+  }
+
+  SymbolTable syms_;
+  RelationId r_ = 0;
+  RelationId s_ = 0;
+  std::vector<Term> consts_;
+  Database db_;
+  std::vector<Atom> before_;
+};
+
+TEST_F(DatabaseEraseTest, SurvivorsKeepTheirOrderAndTheRemapIsRight) {
+  ASSERT_EQ(db_.size(), 1220u);
+  // Every s-atom, and every third atom from index 600 on.
+  std::vector<uint8_t> erase(db_.size(), 0);
+  std::vector<Atom> survivors;
+  for (size_t i = 0; i < before_.size(); ++i) {
+    erase[i] = before_[i].pred == s_ || (i >= 600 && i % 3 == 0);
+    if (!erase[i]) survivors.push_back(before_[i]);
+  }
+  std::vector<uint32_t> remap;
+  ASSERT_EQ(db_.Erase(erase, &remap), 600u);
+  EXPECT_EQ(db_.AtomsVector(), survivors);
+  ASSERT_EQ(remap.size(), before_.size() - 600);
+  for (size_t i = 0; i < 600; ++i) EXPECT_EQ(db_.atom(i), before_[i]);
+  uint32_t next = 600;
+  for (size_t i = 600; i < before_.size(); ++i) {
+    if (erase[i]) {
+      EXPECT_EQ(remap[i - 600], Database::kErased);
+    } else {
+      EXPECT_EQ(remap[i - 600], next);
+      EXPECT_EQ(db_.atom(next++), before_[i]);
+    }
+  }
+  for (size_t i = 0; i < before_.size(); ++i) {
+    EXPECT_EQ(db_.Contains(before_[i]), !erase[i]);
+  }
+  ExpectPostingsMatchScan(db_);
+  EXPECT_TRUE(db_.AtomsOf(s_).empty());
+
+  // A removed atom re-inserts at the end, into every postings list.
+  Atom back(s_, {consts_[25]});
+  EXPECT_TRUE(db_.Insert(back));
+  EXPECT_EQ(db_.atom(db_.size() - 1), back);
+  EXPECT_EQ(db_.AtomsOf(s_),
+            std::vector<uint32_t>{static_cast<uint32_t>(db_.size() - 1)});
+  ExpectPostingsMatchScan(db_);
+}
+
+TEST_F(DatabaseEraseTest, ErasingNothingIsANoOp) {
+  std::vector<uint32_t> remap{7};
+  EXPECT_EQ(db_.Erase(std::vector<uint8_t>(db_.size(), 0), &remap),
+            db_.size());
+  EXPECT_TRUE(remap.empty());
+  EXPECT_EQ(db_.AtomsVector(), before_);
+  ExpectPostingsMatchScan(db_);
+}
+
+TEST_F(DatabaseEraseTest, ErasingEverythingLeavesAnEmptyUsableDatabase) {
+  std::vector<uint32_t> remap;
+  EXPECT_EQ(db_.Erase(std::vector<uint8_t>(db_.size(), 1), &remap), 0u);
+  EXPECT_EQ(remap, std::vector<uint32_t>(before_.size(), Database::kErased));
+  EXPECT_TRUE(db_.empty());
+  for (const Atom& a : before_) EXPECT_FALSE(db_.Contains(a));
+  EXPECT_TRUE(db_.AtomsOf(r_).empty());
+  EXPECT_TRUE(db_.AtomsAt(r_, 0, consts_[0]).empty());
+  EXPECT_TRUE(db_.Insert(before_[5]));
+  EXPECT_TRUE(db_.Insert(before_[0]));
+  EXPECT_EQ(db_.AtomsVector(), (std::vector<Atom>{before_[5], before_[0]}));
+  ExpectPostingsMatchScan(db_);
+}
+
 }  // namespace
 }  // namespace gerel

@@ -101,6 +101,59 @@ TEST(ServiceRetractTest, RetractUndoesAssertOnTheModel) {
   EXPECT_EQ(stats.retracts_rematerialized, 0u);
 }
 
+// DRed erases in place: the survivors keep their order, so undoing an
+// assert restores the model vector itself, not just the set.
+TEST(ServiceRetractTest, RetractRestoresTheModelInOrder) {
+  SymbolTable syms;
+  Theory t = MustParseTheory(kDatalogTc, &syms);
+  Database db = ParseDatabase("e(a, b). e(b, c). e(c, d).", &syms).value();
+  auto kb = MustPrepare(t, db, &syms);
+  const std::vector<Atom> model = kb->ModelAtoms();
+  const std::vector<Atom> edb = kb->EdbAtoms();
+
+  std::vector<Atom> facts =
+      ParseDatabase("e(d, e5).", &syms).value().AtomsVector();
+  ASSERT_TRUE(kb->Assert(facts).ok());
+  Result<RetractResult> r = kb->Retract(facts);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_TRUE(r.value().delta);
+  EXPECT_EQ(kb->ModelAtoms(), model);
+  EXPECT_EQ(kb->EdbAtoms(), edb);
+}
+
+// A chord a→c beside the path a→b→c: retracting the chord overdeletes
+// t(a, c) and rederives it through the path, recording its new witness
+// in the compacted support log. The chord is the first atom, so the
+// erase moves every survivor and the log must remap every witness. The
+// second retract must overdelete through those witnesses, still by DRed.
+TEST(ServiceRetractTest, RetractAfterRederiveReadsTheCompactedLog) {
+  SymbolTable syms;
+  Theory t = MustParseTheory(kDatalogTc, &syms);
+  Database db = ParseDatabase(
+      "e(a, c). e(a, b). e(b, c). e(c, d). e(b, d). e(d, f).", &syms)
+                    .value();
+  auto kb = MustPrepare(t, db, &syms);
+
+  Result<RetractResult> first = kb->Retract(
+      ParseDatabase("e(a, c).", &syms).value().AtomsVector());
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  EXPECT_TRUE(first.value().delta);
+  EXPECT_GT(first.value().rederived_atoms, 0u);
+  Result<RetractResult> second = kb->Retract(
+      ParseDatabase("e(b, c).", &syms).value().AtomsVector());
+  ASSERT_TRUE(second.ok()) << second.status().message();
+  EXPECT_TRUE(second.value().delta);
+  EXPECT_EQ(kb->stats().retracts_dred, 2u);
+
+  SymbolTable fresh_syms;
+  Theory ft = MustParseTheory(kDatalogTc, &fresh_syms);
+  Database fdb = ParseDatabase("e(a, b). e(c, d). e(b, d). e(d, f).",
+                               &fresh_syms)
+                     .value();
+  auto fresh = MustPrepare(ft, fdb, &fresh_syms);
+  EXPECT_EQ(ModelSet(*kb, &syms), ModelSet(*fresh, &fresh_syms));
+}
+
 TEST(ServiceRetractTest, RetractedFactSurvivesWhenStillEntailed) {
   // t(a,b) is both an EDB fact and rule-derivable from e(a,b).
   // Retracting the EDB copy removes it from the base but rederivation
@@ -158,19 +211,19 @@ TEST(ServiceRetractTest, UnknownAndDerivedFactsAreCleanErrors) {
 
 // --- Budget-tripped retract: degraded, never unsound ---
 
-TEST(ServiceRetractTest, CappedRetractFallsBackAndStaysSound) {
+// Trips the Datalog-stage budget at `exhaust_round` of a DRed retract
+// and checks that the fallback, running under the exhausted budget,
+// leaves a sound model over the surviving EDB.
+void CheckCappedRetract(uint64_t exhaust_round) {
   SymbolTable syms;
   Theory t = MustParseTheory(kDatalogTc, &syms);
   Database db = ParseDatabase("e(a, b). e(b, c). e(c, d). e(d, e5).",
                               &syms).value();
   auto kb = MustPrepare(t, db, &syms);
 
-  // Trip the Datalog-stage budget on its first round: DRed's own round
-  // check fails, forcing the re-materialization fallback to run under
-  // the already-exhausted budget.
   FaultPlan plan;
   plan.exhaust_stage = GovernedStage::kDatalog;
-  plan.exhaust_round = 1;
+  plan.exhaust_round = exhaust_round;
   SetFaultPlanForTest(&plan);
   std::vector<Atom> facts =
       ParseDatabase("e(d, e5).", &syms).value().AtomsVector();
@@ -183,6 +236,7 @@ TEST(ServiceRetractTest, CappedRetractFallsBackAndStaysSound) {
   EXPECT_EQ(stats.retracts, 1u);
   EXPECT_EQ(stats.retracts_dred, 0u);
   EXPECT_EQ(stats.retracts_rematerialized, 1u);
+  EXPECT_EQ(stats.last_degradation.round, exhaust_round);
 
   // The degraded model must be a subset of a clean fresh Prepare over
   // the surviving EDB, and must still contain that EDB.
@@ -196,10 +250,16 @@ TEST(ServiceRetractTest, CappedRetractFallsBackAndStaysSound) {
     EXPECT_TRUE(clean.count(ToString(atom, syms)))
         << "unsound survivor: " << ToString(atom, syms);
   }
+  std::set<std::string> model = ModelSet(*kb, &syms);
+  std::vector<std::string> edb;
   for (const Atom& atom : kb->EdbAtoms()) {
     EXPECT_TRUE(std::count(facts.begin(), facts.end(), atom) == 0)
         << "retracted fact still in EDB";
+    EXPECT_TRUE(model.count(ToString(atom, syms)))
+        << "EDB fact missing from the model: " << ToString(atom, syms);
+    edb.push_back(ToString(atom, syms));
   }
+  EXPECT_EQ(edb, (std::vector<std::string>{"e(a, b)", "e(b, c)", "e(c, d)"}));
 
   // Queries still serve (sound answers; completeness may be forfeit).
   Rule cq = MustParseRule("t(U, V) -> q(U, V)", &syms);
@@ -209,6 +269,19 @@ TEST(ServiceRetractTest, CappedRetractFallsBackAndStaysSound) {
     Atom witness(syms.Relation("t", 2), row);
     EXPECT_TRUE(clean.count(ToString(witness, syms)));
   }
+}
+
+// Round 1 is DRed's overdelete check: the trip comes before anything is
+// pruned, and the re-materialization fallback runs under the exhausted
+// budget.
+TEST(ServiceRetractTest, CappedRetractFallsBackAndStaysSound) {
+  CheckCappedRetract(1);
+}
+
+// Round 2 is DRed's first rederive round: the trip leaves the model and
+// the support log partly pruned, and the fallback rebuilds both.
+TEST(ServiceRetractTest, CappedRetractAfterThePruneFallsBackAndStaysSound) {
+  CheckCappedRetract(2);
 }
 
 // --- Dependency-aware cache invalidation ---
