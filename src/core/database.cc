@@ -87,6 +87,18 @@ bool Database::Contains(const Atom& atom) const {
   return set_.count(atom) > 0;
 }
 
+int64_t Database::Find(const Atom& atom) const {
+  const std::vector<uint32_t>* postings = &AtomsOf(atom.pred);
+  if (position_index_enabled_ && !atom.args.empty()) {
+    const std::vector<uint32_t>& cand = AtomsAt(atom.pred, 0, atom.args[0]);
+    if (cand.size() < postings->size()) postings = &cand;
+  }
+  for (uint32_t ai : *postings) {
+    if (this->atom(ai) == atom) return ai;
+  }
+  return -1;
+}
+
 size_t Database::Erase(const std::vector<uint8_t>& erase,
                        std::vector<uint32_t>* remap) {
   GEREL_CHECK(erase.size() == size_);

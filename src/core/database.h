@@ -57,6 +57,10 @@ class Database {
   void IndexNewAtoms();
 
   bool Contains(const Atom& atom) const;
+  // The index of `atom`, found through its postings (its relation's, or
+  // its first position's when that list is shorter); -1 if absent.
+  // CHECK-fails while postings are deferred.
+  int64_t Find(const Atom& atom) const;
 
   // Removes every atom i with erase[i] != 0 (erase.size() == size()) and
   // returns `first`, the lowest removed index (size() if none). Survivors

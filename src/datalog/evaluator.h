@@ -34,8 +34,9 @@ struct DatalogOptions {
   // fully-computed lower strata).
   ExecutionBudget* budget = nullptr;
   // Optional derivation-support recording for incremental retraction
-  // (DRed, see datalog/support.h). Not owned; must outlive the program.
-  // Materialize clears and repopulates the log; ExtendWithDelta appends.
+  // (DatalogProgram::Retract, datalog/support.h). Not owned; must outlive
+  // the program, which alone reads it. Materialize clears and
+  // repopulates the log; ExtendWithDelta appends; Retract compacts it.
   SupportLog* support_log = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #include "datalog/program.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "core/check.h"
@@ -82,6 +83,56 @@ class RuleEvaluator {
                             budget, slog)
                : Run<true>(db, delta_begin, delta_end, restrict_to_delta,
                            budget, slog);
+  }
+
+  // DRed's rederivation through head atom `hi`: whether a match of the
+  // positive body in `db` derives exactly the ground `goal`. The head's
+  // variables take the goal's values; a Skolem head's existential
+  // positions must hold the nulls the table gives the frontier image,
+  // and a miss rules the head out before any join. On success `*body`
+  // receives the first witness's matched atom indices.
+  bool Rederive(const Database& db, const Atom& goal, size_t hi,
+                std::vector<uint32_t>* body) {
+    const Atom& head = rule_->head[hi];
+    if (head.args.size() != goal.args.size() ||
+        head.annotation.size() != goal.annotation.size()) {
+      return false;
+    }
+    if (rederive_ == nullptr) {
+      rederive_ = std::make_unique<JoinPlan>(positives_, rule_->FVars());
+    }
+    const JoinPlan& plan = *rederive_;
+    exec_.Reset(plan);
+    // Unify the head with the goal: a variable binds at its first
+    // occurrence and must repeat its value later; an existential one has
+    // no slot in the plan, so Bind ignores it.
+    for (size_t p = 0; p < goal.arity(); ++p) {
+      Term v = exec_.Value(head.TermAt(p));
+      if (v.IsVariable()) {
+        exec_.Bind(v, goal.TermAt(p));
+      } else if (v != goal.TermAt(p)) {
+        return false;
+      }
+    }
+    if (skolem_ != nullptr) {
+      frontier_.clear();
+      for (Term v : skolem_->fvars) frontier_.push_back(exec_.Value(v));
+      auto it = skolem_->nulls.find(frontier_);
+      if (it == skolem_->nulls.end()) return false;
+      for (auto [pos, k] : evar_positions_[hi]) {
+        if (goal.TermAt(pos) != it->second[k]) return false;
+      }
+    }
+    bool found = false;
+    exec_.Execute(
+        plan, db,
+        [&](const JoinExecutor& e) {
+          *body = e.MatchedAtomIndices();
+          found = true;
+          return false;  // The first witness suffices.
+        },
+        /*db_grows=*/false);
+    return found;
   }
 
   // Returns the counters accumulated since the last call and resets them
@@ -212,6 +263,8 @@ class RuleEvaluator {
   std::vector<Atom> negatives_;
   CompiledRule full_;
   std::vector<CompiledRule> seeded_;  // One per pinned body-atom position.
+  // Rederive's plan: the positive body with the frontier pre-bound.
+  std::unique_ptr<JoinPlan> rederive_;  // Compiled on first use.
   JoinExecutor exec_;
   RuleStats stats_;
 };
@@ -229,6 +282,14 @@ struct DatalogProgram::Rep {
   // point into it, and it persists across passes.
   std::vector<std::unique_ptr<SkolemRule>> skolem;
   std::vector<std::vector<RuleEvaluator>> strata;  // Evaluators per stratum.
+  // Each rule's evaluator, by rule index, and per head relation the
+  // (rule, head atom) pairs that derive it, in rule order: where
+  // rederivation looks for a goal.
+  std::vector<RuleEvaluator*> evaluator_of;
+  std::unordered_map<RelationId, std::vector<std::pair<uint32_t, uint32_t>>>
+      heads_of;
+  // Whether options.support_log licenses Retract (program.h).
+  bool log_valid = false;
 
   // Runs all strata over *db. For a full pass the first round of each
   // stratum scans the whole database; for an incremental pass every
@@ -324,6 +385,7 @@ Result<DatalogProgram> DatalogProgram::Compile(Theory theory,
   rep->rule_stats.resize(rep->theory.rules().size());
   rep->skolem = std::move(skolem);
   rep->strata.reserve(rep->strat.strata.size());
+  rep->evaluator_of.resize(rep->theory.rules().size());
   for (const std::vector<uint32_t>& stratum : rep->strat.strata) {
     std::vector<RuleEvaluator> evaluators;
     evaluators.reserve(stratum.size());
@@ -331,7 +393,16 @@ Result<DatalogProgram> DatalogProgram::Compile(Theory theory,
       evaluators.emplace_back(rep->theory.rules()[ri], ri,
                               rep->skolem[ri].get(), symbols);
     }
-    rep->strata.push_back(std::move(evaluators));
+    for (size_t k = 0; k < stratum.size(); ++k) {
+      rep->evaluator_of[stratum[k]] = &evaluators[k];
+    }
+    rep->strata.push_back(std::move(evaluators));  // Keeps the addresses.
+  }
+  for (uint32_t ri = 0; ri < rep->theory.rules().size(); ++ri) {
+    const std::vector<Atom>& head = rep->theory.rules()[ri].head;
+    for (uint32_t hi = 0; hi < head.size(); ++hi) {
+      rep->heads_of[head[hi].pred].emplace_back(ri, hi);
+    }
   }
   return DatalogProgram(std::move(rep));
 }
@@ -345,11 +416,19 @@ DatalogProgram::~DatalogProgram() = default;
 Result<EvalPassStats> DatalogProgram::Materialize(Database* db) {
   // A full pass recomputes the fixpoint from the caller's base atoms;
   // any supports from a previous life of the database are stale.
-  if (rep_->options.support_log != nullptr) rep_->options.support_log->Clear();
+  SupportLog* slog = rep_->options.support_log;
+  if (slog != nullptr) slog->Clear();
   if (rep_->options.populate_acdom) {
     PopulateAcdom(rep_->theory, rep_->symbols, db);
   }
-  return rep_->RunPass(db, /*incremental=*/false, /*delta_begin=*/0);
+  Result<EvalPassStats> pass =
+      rep_->RunPass(db, /*incremental=*/false, /*delta_begin=*/0);
+  // The log licenses DRed only over a complete negation-free fixpoint: a
+  // truncated pass may have skipped derivations whose absence a later
+  // overdelete would misread.
+  rep_->log_valid = slog != nullptr && !rep_->has_negation && pass.ok() &&
+                    pass.value().complete;
+  return pass;
 }
 
 Result<EvalPassStats> DatalogProgram::ExtendWithDelta(Database* db,
@@ -360,7 +439,113 @@ Result<EvalPassStats> DatalogProgram::ExtendWithDelta(Database* db,
         "invalidate derivations made through negation; re-Materialize)");
   }
   GEREL_CHECK(delta_begin <= db->size());
-  return rep_->RunPass(db, /*incremental=*/true, delta_begin);
+  Result<EvalPassStats> pass =
+      rep_->RunPass(db, /*incremental=*/true, delta_begin);
+  if (!pass.ok() || !pass.value().complete) rep_->log_valid = false;
+  return pass;
+}
+
+RetractPassStats DatalogProgram::Retract(Database* db, const Database& base,
+                                         const std::vector<Atom>& seeds) {
+  if (!rep_->log_valid) return {};
+  // Until this retract completes, *db and the log may be partly pruned.
+  rep_->log_valid = false;
+  SupportLog& log = *rep_->options.support_log;
+  ExecutionBudget* budget = rep_->options.budget;
+  auto round_ok = [&](uint64_t round, size_t atoms) {
+    return budget == nullptr ||
+           budget->CheckRound(GovernedStage::kDatalog, round, atoms);
+  };
+  auto point_ok = [&] {
+    return budget == nullptr || budget->CheckPoint(GovernedStage::kDatalog);
+  };
+  const size_t n = db->size();
+  std::vector<uint8_t> deleted(n, 0);
+  size_t lowest_seed = n;
+  size_t total_deleted = 0;
+  for (const Atom& a : seeds) {
+    int64_t i = db->Find(a);
+    if (i < 0 || deleted[i]) continue;
+    deleted[i] = 1;
+    ++total_deleted;
+    lowest_seed = std::min(lowest_seed, static_cast<size_t>(i));
+  }
+  const size_t seeded = total_deleted;
+
+  // Overdelete: one forward pass from the lowest seed suffices because
+  // supports are well-founded — every recorded body index precedes the
+  // derived atom's index, so no atom below the lowest seed loses its
+  // witness, and deleted[] is final for all support members by the time
+  // atom i is visited.
+  if (!round_ok(1, n)) return {};
+  for (size_t i = lowest_seed; i < n; ++i) {
+    if (deleted[i]) continue;
+    if (!point_ok()) return {};
+    SupportLog::Entry e = log.Of(i);
+    if (e.rule == SupportLog::kNoRule) continue;  // Base fact.
+    bool dead = false;
+    for (uint32_t p = e.begin; p < e.end && !dead; ++p) {
+      dead = deleted[log.pool[p]] != 0;
+    }
+    // An atom that is still a base fact survives its lost witness.
+    if (!dead || base.Contains(db->atom(i))) continue;
+    deleted[i] = 1;
+    ++total_deleted;
+  }
+  RetractPassStats out;
+  out.overdeleted_atoms = total_deleted - seeded;
+
+  // Prune in place, after copying the candidates out. Survivors keep
+  // their order; a surviving atom whose witness cites a deleted atom is
+  // exactly the base-fact case above and becomes a base entry.
+  std::vector<Atom> candidates;
+  candidates.reserve(total_deleted);
+  for (size_t i = lowest_seed; i < n; ++i) {
+    if (deleted[i]) candidates.push_back(db->atom(i));
+  }
+  std::vector<uint32_t> remap;
+  size_t first = db->Erase(deleted, &remap);
+  log.Compact(first, remap);
+
+  // Rederive: an overdeleted atom may still be entailed by the pruned
+  // model (a second derivation the single-witness log did not record, or
+  // via atoms rederived this round). Each round tries every candidate
+  // not yet restored against the rules whose heads unify with it, until
+  // a round restores nothing. This converges to exactly the least model
+  // of `base`: every candidate is in the old model, so no new atoms can
+  // appear, and any entailed candidate is eventually restored once its
+  // body atoms are. Restored atoms are appended in candidate order.
+  std::vector<char> restored(candidates.size(), 0);
+  std::vector<uint32_t> body;
+  auto rederive = [&](const Atom& goal, uint32_t* rule) {
+    auto it = rep_->heads_of.find(goal.pred);
+    if (it == rep_->heads_of.end()) return false;
+    for (auto [ri, hi] : it->second) {
+      *rule = ri;
+      if (rep_->evaluator_of[ri]->Rederive(*db, goal, hi, &body)) return true;
+    }
+    return false;
+  };
+  uint64_t round = 1;
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    if (!round_ok(++round, db->size())) return {};
+    for (size_t ci = 0; ci < candidates.size(); ++ci) {
+      if (restored[ci]) continue;
+      if (!point_ok()) return {};
+      uint32_t rule = 0;
+      if (!rederive(candidates[ci], &rule)) continue;
+      db->Insert(candidates[ci]);
+      log.Record(db->size() - 1, rule, body.data(), body.size());
+      restored[ci] = 1;
+      ++out.rederived_atoms;
+      progress = true;
+    }
+  }
+  rep_->log_valid = true;
+  out.applied = true;
+  return out;
 }
 
 const Theory& DatalogProgram::theory() const { return rep_->theory; }
@@ -387,16 +572,6 @@ Status DatalogProgram::SeedSkolem(uint32_t rule, std::vector<Term> frontier,
     return Status::Error("duplicate Skolem entry");
   }
   return Status::Ok();
-}
-
-const std::vector<Term>* DatalogProgram::FindSkolem(
-    uint32_t rule, const std::vector<Term>& frontier) const {
-  if (rule >= rep_->skolem.size() || rep_->skolem[rule] == nullptr) {
-    return nullptr;
-  }
-  const SkolemRule& sr = *rep_->skolem[rule];
-  auto it = sr.nulls.find(frontier);
-  return it == sr.nulls.end() ? nullptr : &it->second;
 }
 
 void DatalogProgram::ForEachSkolem(

@@ -7,7 +7,8 @@
 // reuse its compiled join plans across many passes: full materializations
 // and, for negation-free programs, incremental extensions that re-derive
 // only the consequences of newly inserted atoms (semi-naive evaluation
-// seeded with the delta).
+// seeded with the delta) and incremental retractions by DRed over the
+// support log the passes record (datalog/support.h).
 //
 // Skolem programs: a negation-free program may contain existential rules.
 // Each existential variable is read as a Skolem function of the rule and
@@ -48,6 +49,17 @@ struct EvalPassStats {
   DegradationReason degradation;
 };
 
+// Counters for one DRed retraction (DatalogProgram::Retract).
+struct RetractPassStats {
+  // False when the program declined or the budget tripped: the caller
+  // must rebuild the database with Materialize. The counts are 0 then.
+  bool applied = false;
+  // Derived atoms the cascade deleted beyond the seeds.
+  size_t overdeleted_atoms = 0;
+  // Overdeleted atoms rederivation proved still entailed and restored.
+  size_t rederived_atoms = 0;
+};
+
 class DatalogProgram {
  public:
   // Validates and compiles `theory`: every rule safe, the program
@@ -67,8 +79,9 @@ class DatalogProgram {
 
   // Evaluates the program over *db in place to its least/perfect model;
   // derived atoms are appended. Populates acdom first when
-  // options.populate_acdom. Not thread-safe: a pass runs on the calling
-  // thread and mutates the evaluators' join scratch.
+  // options.populate_acdom. Rewrites options.support_log, if set. Not
+  // thread-safe: a pass runs on the calling thread and mutates the
+  // evaluators' join scratch.
   Result<EvalPassStats> Materialize(Database* db);
 
   // Incrementally extends a fixpoint: *db must be a database previously
@@ -79,8 +92,28 @@ class DatalogProgram {
   // facts can invalidate earlier derivations, which an append-only
   // database cannot express — callers must re-Materialize instead.
   // Does NOT populate acdom; callers insert acdom atoms for new terms as
-  // part of the delta if they rely on the built-in.
+  // part of the delta if they rely on the built-in. Appends to
+  // options.support_log, if set.
   Result<EvalPassStats> ExtendWithDelta(Database* db, size_t delta_begin);
+
+  // Incrementally retracts by DRed: *db must be the fixpoint whose
+  // supports options.support_log holds, `base` the surviving base atoms
+  // and `seeds` the atoms to delete (seeds absent from *db are skipped).
+  // Overdeletes the support cascade in one forward pass from the lowest
+  // seed (an atom `base` holds survives a lost witness), erases the dead
+  // atoms from *db and the log in place (survivors keep their order),
+  // then rederives overdeleted atoms against the pruned model until a
+  // round restores nothing; a Skolem head rederives only an atom holding
+  // its table's nulls. *db ends as the least model of `base`.
+  //
+  // The log licenses this only after a complete pass of a negation-free
+  // program recorded it and no later pass was truncated, so a freshly
+  // compiled program's log is invalid. Otherwise Retract declines,
+  // leaving *db and the log untouched. A budget trip may leave both
+  // partly pruned. Either way `applied` is false, and the log stays
+  // invalid until the next Materialize.
+  RetractPassStats Retract(Database* db, const Database& base,
+                           const std::vector<Atom>& seeds);
 
   const Theory& theory() const;
   const Stratification& stratification() const;
@@ -99,9 +132,6 @@ class DatalogProgram {
   // from |fvars| and |evars|, or when the key is already present.
   Status SeedSkolem(uint32_t rule, std::vector<Term> frontier,
                     std::vector<Term> nulls);
-  // The nulls stored for (rule, frontier), or nullptr. Never mints.
-  const std::vector<Term>* FindSkolem(uint32_t rule,
-                                      const std::vector<Term>& frontier) const;
   // Visits every entry as (rule, frontier, nulls), in no fixed order.
   void ForEachSkolem(
       const std::function<void(uint32_t, const std::vector<Term>&,

@@ -7,9 +7,10 @@
 // assert deltas) keep the default no-rule entry and count as base facts.
 // Every recorded body index is strictly smaller than the derived atom's
 // own index (a body matches atoms already stored), so a single forward
-// pass in index order settles overdeletion (PreparedKb::Retract).
+// pass in index order settles overdeletion (DatalogProgram::Retract).
 // Database::Erase keeps the survivors in order, so a log compacted with
-// its remap (Compact) stays well-founded.
+// its remap (Compact) stays well-founded. The program alone reads the
+// log and decides when it is valid; its owner only supplies it.
 //
 // One support per atom is enough for soundness: overdeletion with a
 // single witness may delete more than a multi-support variant would,

@@ -25,69 +25,6 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-// DRed's rederivation through one head atom of one rule. Everything here
-// depends on the rule alone; a candidate only supplies the values.
-struct Rederiver {
-  // Per flattened head position: an index into `bound` (a variable the
-  // goal binds at its first occurrence and must repeat at later ones),
-  // or one of these.
-  static constexpr int32_t kFixed = -1;        // Compare the head term.
-  static constexpr int32_t kExistential = -2;  // Check the Skolem table.
-
-  std::vector<Term> head;     // Flattened head terms.
-  std::vector<int32_t> code;  // Parallel to `head`.
-  // The head's universal variables in first-occurrence order: the join's
-  // pre-bound variables. Existential ones never enter the body join.
-  std::vector<Term> bound;
-  // Existential rules: each frontier variable (FVars() order) as an
-  // index into `bound`, and (position, EVars() index) per existential
-  // position.
-  std::vector<uint32_t> frontier;
-  std::vector<std::pair<uint32_t, uint32_t>> existential;
-  JoinPlan plan;  // Compiled on first use.
-  bool compiled = false;
-
-  // Classifies the head positions of `r.head[hi]`. An existential rule
-  // has this one head atom (normal form), so the goal binds its frontier.
-  void Init(const Rule& r, size_t hi) {
-    head = r.head[hi].AllTerms();
-    std::vector<Term> evars = r.EVars();
-    for (uint32_t p = 0; p < head.size(); ++p) {
-      Term t = head[p];
-      auto e = std::find(evars.begin(), evars.end(), t);
-      if (!t.IsVariable()) {
-        code.push_back(kFixed);
-      } else if (e != evars.end()) {
-        code.push_back(kExistential);
-        existential.emplace_back(p, static_cast<uint32_t>(e - evars.begin()));
-      } else {
-        auto b = std::find(bound.begin(), bound.end(), t);
-        code.push_back(static_cast<int32_t>(b - bound.begin()));
-        if (b == bound.end()) bound.push_back(t);
-      }
-    }
-    if (evars.empty()) return;
-    for (Term f : r.FVars()) {
-      auto b = std::find(bound.begin(), bound.end(), f);
-      GEREL_CHECK(b != bound.end());
-      frontier.push_back(static_cast<uint32_t>(b - bound.begin()));
-    }
-  }
-};
-
-// The index of `a` in `db`, found through its postings; -1 if absent.
-int64_t FindAtom(const Database& db, const Atom& a) {
-  const std::vector<uint32_t>* postings = &db.AtomsOf(a.pred);
-  if (db.position_index_enabled() && !a.args.empty()) {
-    const std::vector<uint32_t>& cand = db.AtomsAt(a.pred, 0, a.args[0]);
-    if (cand.size() < postings->size()) postings = &cand;
-  }
-  for (uint32_t ai : *postings) {
-    if (db.atom(ai) == a) return ai;
-  }
-  return -1;
-}
-
 }  // namespace
 
 PreparedKb::PreparedKb(SymbolTable* symbols, const PreparedKbOptions& options)
@@ -344,9 +281,9 @@ void PreparedKb::ChaseModel() {
   model_ = std::move(run.database);
   materialize_complete_ = run.saturated;
   materialize_degradation_ = run.degradation;
-  // The chase records no derivation supports: the first Retract
-  // re-materializes through the program, which records them.
-  supports_valid_ = false;
+  // The chase records no derivation supports, so the freshly compiled
+  // program's log stays invalid: the first Retract re-materializes
+  // through the program, which records them.
   if (!run.saturated) return;
   ++stats_.chase_materializations;
   // Adopt the chase's nulls as the program's Skolem table, so a delta
@@ -384,10 +321,6 @@ Status PreparedKb::MaterializeModel() {
   if (!pass.ok()) return pass.status();
   materialize_complete_ = pass.value().complete;
   materialize_degradation_ = pass.value().degradation;
-  // The support log only licenses DRed over a complete negation-free
-  // fixpoint: a truncated pass may have skipped derivations whose
-  // absence a later overdelete would misread.
-  supports_valid_ = pass.value().complete && !program_->has_negation();
   return Status::Ok();
 }
 
@@ -618,7 +551,6 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
     if (!pass.value().complete) {
       materialize_complete_ = false;
       materialize_degradation_ = pass.value().degradation;
-      supports_valid_ = false;
     }
   }
   if (recompile) {
@@ -681,7 +613,7 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
   // The surviving EDB, read by both paths (an overdeleted atom that is
   // still a base fact must not be deleted).
   std::vector<uint8_t> erase(edb_.size(), 0);
-  for (const Atom& f : targets) erase[FindAtom(edb_, f)] = 1;
+  for (const Atom& f : targets) erase[edb_.Find(f)] = 1;
   std::vector<uint32_t> remap;
   edb_.Erase(erase, &remap);
 
@@ -733,21 +665,27 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
   }
   bool recompile = mode_ == Mode::kWeaklyGuarded &&
                    (wg_domain_shrinks || null_retracted);
-  bool fallback = recompile || program_->has_negation() || !supports_valid_;
 
-  bool dred_ok = !fallback &&
-                 RetractDRed(targets, vanished, &out.overdeleted_atoms,
-                             &out.rederived_atoms);
+  // DRed in the program, seeded with the retracted facts and the acdom
+  // atoms of the vanished terms. The program declines when its support
+  // log does not license it (negation, a chase-seeded or loaded model, a
+  // truncated pass).
+  RetractPassStats dred;
+  if (!recompile) {
+    std::vector<Atom> seeds(targets.begin(), targets.end());
+    for (Term t : vanished) seeds.push_back(Atom(acdom_, {t}));
+    dred = program_->Retract(&model_, edb_, seeds);
+  }
+  out.overdeleted_atoms = dred.overdeleted_atoms;
+  out.rederived_atoms = dred.rederived_atoms;
   double transform_ms = 0.0;
   double materialize_ms = 0.0;
-  if (!dred_ok) {
+  if (!dred.applied) {
     // Fallback: rebuild the model from the surviving EDB (recompiling
     // the data-dependent stages first when the wg grounding is stale).
     // A budget that tripped mid-DRed degrades this pass too — the model
     // stays a sound under-approximation, never unsound — and the rebuild
     // replaces a partly pruned model and support log.
-    out.overdeleted_atoms = 0;
-    out.rederived_atoms = 0;
     if (recompile) {
       Clock::time_point transform_start = Clock::now();
       Status s = CompileProgram();
@@ -789,180 +727,6 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
   stats_.datalog_rules = datalog_rules();
   stats_.retract_wall_ms += MsSince(start);
   return out;
-}
-
-bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
-                             const std::vector<Term>& vanished,
-                             size_t* overdeleted, size_t* rederived) {
-  const size_t n = model_.size();
-  std::vector<uint8_t> deleted(n, 0);
-  // Seed deletions: the retracted facts themselves plus the acdom atoms
-  // of terms leaving the active domain.
-  size_t lowest_seed = n;
-  size_t seeds = 0;
-  auto seed = [&](const Atom& a) {
-    int64_t i = FindAtom(model_, a);
-    if (i < 0 || deleted[i]) return;
-    deleted[i] = 1;
-    ++seeds;
-    lowest_seed = std::min(lowest_seed, static_cast<size_t>(i));
-  };
-  for (const Atom& f : targets) seed(f);  // EDB ⊆ model: always a hit.
-  for (Term t : vanished) seed(Atom(acdom_, {t}));
-
-  // Overdelete: one forward pass from the lowest seed suffices because
-  // supports are well-founded — every recorded body index precedes the
-  // derived atom's index, so no atom below the lowest seed loses its
-  // witness, and deleted[] is final for all support members by the time
-  // atom i is visited.
-  if (!budget_->CheckRound(GovernedStage::kDatalog, 1, n)) return false;
-  size_t total_deleted = seeds;
-  for (size_t i = lowest_seed; i < n; ++i) {
-    if (deleted[i]) continue;
-    if (!budget_->CheckPoint(GovernedStage::kDatalog)) return false;
-    SupportLog::Entry e = supports_.Of(i);
-    if (e.rule == SupportLog::kNoRule) continue;  // Base fact.
-    bool dead = false;
-    for (uint32_t p = e.begin; p < e.end; ++p) {
-      if (deleted[supports_.pool[p]]) {
-        dead = true;
-        break;
-      }
-    }
-    if (!dead) continue;
-    // An atom that is still a base fact survives its lost witness.
-    if (edb_.Contains(model_.atom(i))) continue;
-    deleted[i] = 1;
-    ++total_deleted;
-  }
-  *overdeleted = total_deleted - seeds;
-
-  // Prune in place, after copying the candidates out. Survivors keep
-  // their order; a surviving atom whose witness cites a deleted atom is
-  // exactly the base-fact case above and becomes a base entry.
-  std::vector<Atom> candidates;
-  candidates.reserve(total_deleted);
-  for (size_t i = lowest_seed; i < n; ++i) {
-    if (deleted[i]) candidates.push_back(model_.atom(i));
-  }
-  std::vector<uint32_t> remap;
-  size_t first = model_.Erase(deleted, &remap);
-  supports_.Compact(first, remap);
-
-  // Rederive: an overdeleted atom may still be entailed by the pruned
-  // model (a second derivation the single-witness log did not record, or
-  // via atoms rederived this round). For each candidate, unify it with a
-  // rule head and join the rule's body over the pruned model; repeat until
-  // a pass restores nothing. This converges to exactly the least model
-  // of the surviving EDB: every candidate is in the old model, so no
-  // new atoms can appear, and any entailed candidate is eventually
-  // restored once its body atoms are.
-  const Theory& th = program_->theory();
-  std::unordered_map<RelationId, std::vector<std::pair<uint32_t, uint32_t>>>
-      heads_by_pred;
-  for (uint32_t ri = 0; ri < th.rules().size(); ++ri) {
-    const Rule& r = th.rules()[ri];
-    for (uint32_t hi = 0; hi < r.head.size(); ++hi) {
-      heads_by_pred[r.head[hi].pred].emplace_back(ri, hi);
-    }
-  }
-  // The rederivers of the (rule, head) pairs candidates reach, built on
-  // first use.
-  std::unordered_map<uint64_t, Rederiver> rederivers;
-  JoinExecutor exec;
-  std::vector<Term> values;
-  std::vector<Term> frontier;
-  auto try_rederive = [&](const Atom& goal, uint32_t* out_rule,
-                          std::vector<uint32_t>* out_body) -> bool {
-    auto it = heads_by_pred.find(goal.pred);
-    if (it == heads_by_pred.end()) return false;
-    for (auto [ri, hi] : it->second) {
-      const Rule& r = th.rules()[ri];
-      const Atom& h = r.head[hi];
-      if (h.args.size() != goal.args.size() ||
-          h.annotation.size() != goal.annotation.size()) {
-        continue;
-      }
-      auto [slot, fresh] = rederivers.try_emplace(uint64_t{ri} << 32 | hi);
-      Rederiver& d = slot->second;
-      if (fresh) d.Init(r, hi);
-      // Unify the ground goal against the head atom: constants must
-      // match, variables bind consistently (`bound` is in first-occurrence
-      // order, so a variable's first occurrence is the next value).
-      values.clear();
-      bool ok = true;
-      for (size_t p = 0; p < d.head.size() && ok; ++p) {
-        Term gt = goal.TermAt(p);
-        int32_t c = d.code[p];
-        if (c == Rederiver::kFixed) {
-          ok = d.head[p] == gt;
-        } else if (c == static_cast<int32_t>(values.size())) {
-          values.push_back(gt);
-        } else if (c >= 0) {
-          ok = values[c] == gt;
-        }
-      }
-      if (!ok) continue;
-      if (!d.existential.empty()) {
-        // The goal must hold exactly the nulls the table gives this
-        // rule's frontier image; a miss means this head cannot
-        // rederive the goal.
-        frontier.clear();
-        for (uint32_t b : d.frontier) frontier.push_back(values[b]);
-        const std::vector<Term>* nulls = program_->FindSkolem(ri, frontier);
-        if (nulls == nullptr) continue;
-        for (auto [p, k] : d.existential) {
-          if (goal.TermAt(p) != (*nulls)[k]) ok = false;
-        }
-        if (!ok) continue;
-      }
-      if (!d.compiled) {
-        std::vector<Atom> positives;
-        for (const Literal& l : r.body) positives.push_back(l.atom);
-        d.plan.Recompile(positives, d.bound);
-        d.compiled = true;
-      }
-      exec.Reset(d.plan);
-      for (size_t b = 0; b < d.bound.size(); ++b) {
-        exec.Bind(d.bound[b], values[b]);
-      }
-      bool found = false;
-      exec.Execute(
-          d.plan, model_,
-          [&](const JoinExecutor& e) {
-            *out_rule = ri;
-            *out_body = e.MatchedAtomIndices();
-            found = true;
-            return false;  // The first witness suffices.
-          },
-          /*db_grows=*/false);
-      if (found) return true;
-    }
-    return false;
-  };
-  std::vector<char> restored(candidates.size(), 0);
-  std::vector<uint32_t> body;
-  uint64_t round = 1;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    if (!budget_->CheckRound(GovernedStage::kDatalog, ++round,
-                             model_.size())) {
-      return false;
-    }
-    for (size_t ci = 0; ci < candidates.size(); ++ci) {
-      if (restored[ci]) continue;
-      if (!budget_->CheckPoint(GovernedStage::kDatalog)) return false;
-      uint32_t rule = 0;
-      if (!try_rederive(candidates[ci], &rule, &body)) continue;
-      model_.Insert(candidates[ci]);
-      supports_.Record(model_.size() - 1, rule, body.data(), body.size());
-      restored[ci] = 1;
-      ++*rederived;
-      progress = true;
-    }
-  }
-  return true;
 }
 
 const char* ModeName(PreparedKb::Mode mode) {

@@ -33,20 +33,17 @@
 //             nothing. Falls back to re-running the data-dependent
 //             stages only when a weakly guarded theory meets constants
 //             outside the grounded domain (or the program has negation).
-//   Retract:  remove EDB facts incrementally by DRed (delete/re-derive):
-//             a per-atom derivation-support log recorded during
-//             materialization overdeletes the support cascade in one
-//             forward pass, the dead atoms are erased from the model and
-//             the log in place, and overdeleted atoms are rederived
-//             against the pruned model by rerunning their rules —
-//             a Skolem head only rederives an atom holding the nulls its
-//             table gives the frontier — so the result is exactly the
-//             least model of the surviving EDB. Falls back to an
-//             epoch-bump full re-materialization when the program has
-//             negation, the support log is invalid (degraded or chased
-//             materialization, snapshot load), a weakly guarded theory's
-//             constant domain shrinks or the retracted facts carry
-//             labeled nulls, or the budget trips mid-retract.
+//   Retract:  erase the facts from the EDB and hand the model to the
+//             program's DRed (DatalogProgram::Retract), seeded with the
+//             facts and the acdom atoms of the terms that leave the
+//             active domain; the result is exactly the least model of
+//             the surviving EDB. Falls back to an epoch-bump full
+//             re-materialization when the program declines (negation, or
+//             a support log it does not trust: a degraded or chased
+//             materialization, a snapshot load), when a weakly guarded
+//             theory's constant domain shrinks or the retracted facts
+//             carry labeled nulls (both recompile the grounding), or
+//             when the budget trips mid-retract.
 //
 // Single owner: a PreparedKb holds no lock. Callers serialize every call,
 // const ones included (Query fills the answer cache and counts stats);
@@ -203,12 +200,12 @@ class PreparedKb {
   Result<AssertResult> Assert(const std::vector<Atom>& facts);
 
   // Removes ground EDB facts and incrementally deletes the derived
-  // consequences that lose their last recorded support (DRed), falling
-  // back to full re-materialization when the incremental path cannot be
-  // trusted (see the class comment). Every fact must be a current EDB
-  // atom: an unknown or derived-only fact is a clean no-op error (no
-  // state changes). A retracted fact may survive in the model when it is
-  // still entailed by the remaining facts.
+  // consequences that lose their last recorded support (the program's
+  // DRed), falling back to full re-materialization when the incremental
+  // path cannot be trusted (see the class comment). Every fact must be a
+  // current EDB atom: an unknown or derived-only fact is a clean no-op
+  // error (no state changes). A retracted fact may survive in the model
+  // when it is still entailed by the remaining facts.
   Result<RetractResult> Retract(const std::vector<Atom>& facts);
 
   // Copy of the serving counters.
@@ -286,13 +283,6 @@ class PreparedKb {
   // counters.
   void EvictCacheForWrite(std::unordered_set<RelationId> written,
                           bool domain_changed);
-  // The DRed core: overdelete against the surviving edb_, prune model_
-  // and supports_ in place, then rederive into them. Returns false when
-  // the budget tripped mid-retract, possibly after the prune; the caller
-  // falls back to re-materialization, which rebuilds both.
-  bool RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
-                   const std::vector<Term>& vanished, size_t* overdeleted,
-                   size_t* rederived);
   // Completeness certificate for a query: the materialized model decides
   // the certain answers — either it is a universal model (chase mode) or
   // no body relation of `cq` can hold a labeled null in the chase.
@@ -321,15 +311,12 @@ class PreparedKb {
   Database edb_;    // Base facts: the initial database plus all asserts.
   Database model_;  // edb_ plus every derived consequence (and acdom).
   std::unique_ptr<DatalogProgram> program_;
-  // One derivation support per model atom, recorded by the program
-  // during Materialize/ExtendWithDelta (the program's options point at
-  // this log). Valid only when the last full pass completed and the
-  // program is negation-free; an invalid log routes Retract to the
-  // re-materialization fallback, which rebuilds it (self-healing — the
-  // prepare-time chase records no supports, and the snapshot format
-  // does not persist them).
+  // The program's derivation-support log (its options point here),
+  // which it records, reads and keeps valid for DRed itself. A log it
+  // does not trust sends Retract to the re-materialization fallback,
+  // which rebuilds it: the prepare-time chase records no supports, and
+  // the snapshot format does not persist them.
   SupportLog supports_;
-  bool supports_valid_ = false;
   // Direct body→head predicate edges of the compiled program, for the
   // cache-invalidation closure.
   std::unordered_map<RelationId, std::vector<RelationId>> dependents_;

@@ -589,9 +589,9 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::LoadSnapshot(
   // saturation artifacts are all baked into the stored rule set.
   DatalogOptions dopts = options.datalog;
   dopts.budget = kb->budget_.get();
-  // Derivation supports are not persisted: the loaded model keeps
-  // supports_valid_ = false, so the first Retract re-materializes (and
-  // rebuilds the support log as a side effect). The dependency index is
+  // Derivation supports are not persisted: the freshly compiled program
+  // does not trust its empty log, so the first Retract re-materializes
+  // (and rebuilds the log as a side effect). The dependency index is
   // pure program structure, so it is rebuilt here for cache eviction.
   dopts.support_log = &kb->supports_;
   Result<DatalogProgram> program =

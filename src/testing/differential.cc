@@ -756,13 +756,15 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
   return CaseVerdict::kOk;
 }
 
-// Certain ground facts of a materialized model (theory relations only;
+// Certain ground facts of a materialized model (theory relations, plus
+// acdom, which PreparedKb::Retract maintains apart from the program;
 // atoms mentioning labeled nulls are identity-sensitive and excluded).
 std::set<std::string> GroundFactSetOf(const std::vector<Atom>& atoms,
                                       const Theory& theory,
                                       const SymbolTable& symbols) {
   std::set<RelationId> rels;
   for (RelationId r : theory.Relations()) rels.insert(r);
+  rels.insert(symbols.FindRelation(kAcdomName));
   std::set<std::string> out;
   for (const Atom& a : atoms) {
     if (rels.count(a.pred) > 0 && a.IsGroundOverConstants()) {

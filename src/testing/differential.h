@@ -141,11 +141,11 @@ DiffReport RunFaultRecovery(unsigned seed, size_t iters,
 // once with the planner on and once with it off (a failure's detail
 // names the setting).
 // After every mutation the live KB is compared against a *fresh*
-// Prepare from the surviving EDB: certain ground facts must agree (the
-// full model, for Datalog-class theories), query answers must agree
-// when both sides are complete (live answers must stay sound against a
-// complete fresh run otherwise), and retracting a fact that is not in
-// the EDB must fail without touching the model. This exercises the
+// Prepare from the surviving EDB: certain ground facts, acdom included,
+// must agree (the full model, for Datalog-class theories), query
+// answers must agree when both sides are complete (live answers must
+// stay sound against a complete fresh run otherwise), and retracting a
+// fact that is not in the EDB must fail without touching the model. This exercises the
 // DRed overdelete/rederive/prune path, the re-materialization
 // fallbacks, and dependency-aware cache invalidation (a stale cached
 // answer served after a covering write diverges from the fresh KB).

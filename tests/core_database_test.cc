@@ -120,6 +120,38 @@ TEST(DatabaseTest, DisablingPositionIndex) {
   EXPECT_FALSE(db.position_index_enabled());
 }
 
+TEST(DatabaseTest, FindReturnsTheIndexThroughThePostings) {
+  SymbolTable syms;
+  Result<Database> parsed =
+      ParseDatabase("r(a, b). r(a, c). s(a). r(b, c). r(c, a). z.", &syms);
+  ASSERT_TRUE(parsed.ok());
+  Database db = parsed.value();
+  RelationId r = syms.Relation("r");
+  Term a = syms.Constant("a");
+  Term b = syms.Constant("b");
+  Term c = syms.Constant("c");
+  EXPECT_EQ(db.Find(Atom(r, {a, c})), 1);
+  EXPECT_EQ(db.Find(Atom(r, {c, a})), 4);
+  EXPECT_EQ(db.Find(Atom(syms.Relation("z"), {})), 5);
+  EXPECT_EQ(db.Find(Atom(r, {b, a})), -1);  // Absent.
+  EXPECT_EQ(db.Find(Atom(syms.Relation("t", 1), {a})), -1);
+  // After an erase, survivors are found at their new index and the
+  // erased atom not at all.
+  std::vector<uint32_t> remap;
+  ASSERT_EQ(db.Erase({0, 1, 0, 0, 0, 0}, &remap), 1u);
+  EXPECT_EQ(db.Find(Atom(r, {a, c})), -1);
+  EXPECT_EQ(db.Find(Atom(r, {b, c})), 2);
+  EXPECT_EQ(db.Find(Atom(r, {c, a})), 3);
+  // Without the position index the relation's postings are scanned.
+  Database flat;
+  flat.set_position_index_enabled(false);
+  for (const Atom& atom : db.atoms()) flat.Insert(atom);
+  for (size_t i = 0; i < db.size(); ++i) {
+    EXPECT_EQ(flat.Find(db.atom(i)), static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(flat.Find(Atom(r, {a, c})), -1);
+}
+
 // Regression: the position-index key used to pack (pred, pos, term) as
 // (pred << 40) ^ (pos << 32) ^ term, so an atom with a term at position
 // >= 256 aliased the postings of relation (pred ^ (pos >> 8)) at

@@ -2,6 +2,8 @@
 // evaluation, stratified negation, and the lexicographic order programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/parser.h"
 #include "core/printer.h"
 #include "datalog/evaluator.h"
@@ -164,8 +166,6 @@ TEST(SkolemProgramTest, FiringsReuseTheirNulls) {
   ASSERT_TRUE(program.value().Materialize(&second).ok());
   EXPECT_EQ(SuccessorOf(second, r, c), n);
   EXPECT_EQ(f.syms.NumNulls(), minted);
-  ASSERT_NE(program.value().FindSkolem(0, {c}), nullptr);
-  EXPECT_EQ(*program.value().FindSkolem(0, {c}), std::vector<Term>{n});
   // A new frontier image mints a new null...
   const Term d = f.syms.Constant("d");
   size_t begin = second.size();
@@ -199,6 +199,179 @@ TEST(SkolemProgramTest, SeededNullsAreAdopted) {
   Database db = f.db;
   ASSERT_TRUE(program.value().Materialize(&db).ok());
   EXPECT_EQ(SuccessorOf(db, f.syms.Relation("r"), c), n);
+}
+
+// Options that record supports into `log`, so the program can run DRed.
+DatalogOptions LoggingOptions(SupportLog* log,
+                              ExecutionBudget* budget = nullptr) {
+  DatalogOptions options;
+  options.support_log = log;
+  options.budget = budget;
+  return options;
+}
+
+// `db` without the atoms of `gone`, in order.
+Database Without(const Database& db, const std::vector<Atom>& gone) {
+  Database out;
+  for (const Atom& a : db.atoms()) {
+    if (std::find(gone.begin(), gone.end(), a) == gone.end()) out.Insert(a);
+  }
+  return out;
+}
+
+// The log's entries and pool, flattened for comparison.
+std::vector<uint32_t> Flatten(const SupportLog& log) {
+  std::vector<uint32_t> out;
+  for (const SupportLog::Entry& e : log.entries) {
+    out.insert(out.end(), {e.rule, e.begin, e.end});
+  }
+  out.insert(out.end(), log.pool.begin(), log.pool.end());
+  return out;
+}
+
+constexpr char kClosure[] = "e(X, Y) -> t(X, Y).\ne(X, Y), t(Y, Z) -> t(X, Z).";
+constexpr char kChain[] =
+    "e(a0, a1). e(a1, a2). e(a2, a3). e(a3, a4). e(a4, a5). e(a5, a6).";
+
+TEST(ProgramRetractTest, RetractLeavesTheFreshModelInOrder) {
+  Fixture f(kClosure, kChain);
+  SupportLog log;
+  Result<DatalogProgram> program =
+      DatalogProgram::Compile(f.theory, &f.syms, LoggingOptions(&log));
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  Result<DatalogProgram> reference = DatalogProgram::Compile(f.theory, &f.syms);
+  ASSERT_TRUE(reference.ok());
+  Database model = f.db;
+  ASSERT_TRUE(program.value().Materialize(&model).ok());
+  RelationId e = f.syms.Relation("e");
+  auto edge = [&](const char* from, const char* to) {
+    return Atom(e, {f.syms.Constant(from), f.syms.Constant(to)});
+  };
+  // Mid-chain edges: every closure atom across the cut is overdeleted and
+  // none has a second derivation. The second retract reads the log the
+  // first one compacted.
+  Database base = f.db;
+  const std::pair<Atom, size_t> cuts[] = {{edge("a2", "a3"), 3 * 4},
+                                          {edge("a4", "a5"), 2 * 2}};
+  for (const auto& [cut, across] : cuts) {
+    base = Without(base, {cut});
+    RetractPassStats r = program.value().Retract(&model, base, {cut});
+    EXPECT_TRUE(r.applied);
+    EXPECT_EQ(r.overdeleted_atoms, across);
+    EXPECT_EQ(r.rederived_atoms, 0u);
+    Database fresh = base;
+    ASSERT_TRUE(reference.value().Materialize(&fresh).ok());
+    EXPECT_EQ(model.AtomsVector(), fresh.AtomsVector());
+  }
+}
+
+TEST(ProgramRetractTest, SkolemHeadsRederiveOnlyTheirTablesNulls) {
+  Fixture f("a(X) -> exists Y. r(X, Y).\nb(X) -> a(X).", "a(c). b(c).");
+  const RelationId r = f.syms.Relation("r", 2);
+  const Term c = f.syms.Constant("c");
+  // A base r-atom whose null the table will never give c.
+  const Term m = f.syms.FreshNull();
+  f.db.Insert(Atom(r, {c, m}));
+  SupportLog log;
+  Result<DatalogProgram> program =
+      DatalogProgram::Compile(f.theory, &f.syms, LoggingOptions(&log));
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  Database model = f.db;
+  ASSERT_TRUE(program.value().Materialize(&model).ok());
+  const Term n = SuccessorOf(Without(model, {Atom(r, {c, m})}), r, c);
+  ASSERT_TRUE(n.IsNull());
+  const uint32_t minted = f.syms.NumNulls();
+  // Retract a(c) (still derivable from b(c)) and r(c, m), with m's acdom
+  // atom as the caller seeds a vanished term.
+  const Atom ac(f.syms.Relation("a"), {c});
+  const Atom rcm(r, {c, m});
+  Database base = Without(f.db, {ac, rcm});
+  RetractPassStats out = program.value().Retract(
+      &model, base, {ac, rcm, Atom(AcdomRelation(&f.syms), {m})});
+  EXPECT_TRUE(out.applied);
+  EXPECT_EQ(out.overdeleted_atoms, 1u);  // r(c, n) lost its witness.
+  // a(c) comes back through b(c), then r(c, n) through the table; r(c, m)
+  // unifies with the head but holds the wrong null.
+  EXPECT_EQ(out.rederived_atoms, 2u);
+  EXPECT_TRUE(model.Contains(ac));
+  EXPECT_TRUE(model.Contains(Atom(r, {c, n})));
+  EXPECT_FALSE(model.Contains(rcm));
+  EXPECT_EQ(f.syms.NumNulls(), minted);
+  Database fresh = base;
+  ASSERT_TRUE(program.value().Materialize(&fresh).ok());
+  EXPECT_EQ(model.AtomsVector(), fresh.AtomsVector());
+}
+
+// Retract must decline, touching neither the model nor the log.
+void ExpectDeclines(DatalogProgram* program, Database* model,
+                    const SupportLog& log, const Atom& gone) {
+  const std::vector<Atom> before = model->AtomsVector();
+  const std::vector<uint32_t> recorded = Flatten(log);
+  RetractPassStats r = program->Retract(model, Without(*model, {gone}), {gone});
+  EXPECT_FALSE(r.applied);
+  EXPECT_EQ(r.overdeleted_atoms + r.rederived_atoms, 0u);
+  EXPECT_EQ(model->AtomsVector(), before);
+  EXPECT_EQ(Flatten(log), recorded);
+}
+
+TEST(ProgramRetractTest, DeclinesWithoutALicensingLog) {
+  {  // Negation: the log is recorded but licenses nothing.
+    Fixture f("e(X, Y) -> t(X, Y).\n"
+              "acdom(X), acdom(Y), not t(X, Y) -> u(X, Y).",
+              "e(a, b). e(b, c).");
+    SupportLog log;
+    Result<DatalogProgram> program =
+        DatalogProgram::Compile(f.theory, &f.syms, LoggingOptions(&log));
+    ASSERT_TRUE(program.ok());
+    Database model = f.db;
+    ASSERT_TRUE(program.value().Materialize(&model).ok());
+    ASSERT_FALSE(log.entries.empty());
+    ExpectDeclines(&program.value(), &model, log, f.db.atom(0));
+  }
+  {  // A freshly compiled program does not trust a log it did not record.
+    Fixture f(kClosure, kChain);
+    SupportLog log;
+    Result<DatalogProgram> first =
+        DatalogProgram::Compile(f.theory, &f.syms, LoggingOptions(&log));
+    Result<DatalogProgram> second =
+        DatalogProgram::Compile(f.theory, &f.syms, LoggingOptions(&log));
+    ASSERT_TRUE(first.ok() && second.ok());
+    Database model = f.db;
+    ASSERT_TRUE(first.value().Materialize(&model).ok());
+    ExpectDeclines(&second.value(), &model, log, f.db.atom(2));
+    EXPECT_TRUE(first.value()
+                    .Retract(&model, Without(f.db, {f.db.atom(2)}),
+                             {f.db.atom(2)})
+                    .applied);
+  }
+  {  // A budget-truncated pass revokes the licence until a full pass.
+    Fixture f(kClosure, kChain);
+    SupportLog log;
+    ExecutionBudget budget;
+    Result<DatalogProgram> program = DatalogProgram::Compile(
+        f.theory, &f.syms, LoggingOptions(&log, &budget));
+    ASSERT_TRUE(program.ok());
+    Database model = f.db;
+    ASSERT_TRUE(program.value().Materialize(&model).ok());
+    BudgetLimits tight;
+    tight.max_atoms = 1;
+    budget.Arm(tight);
+    size_t begin = model.size();
+    model.Insert(Atom(f.syms.Relation("e"),
+                      {f.syms.Constant("a6"), f.syms.Constant("a7")}));
+    Result<EvalPassStats> pass =
+        program.value().ExtendWithDelta(&model, begin);
+    ASSERT_TRUE(pass.ok());
+    ASSERT_FALSE(pass.value().complete);
+    budget.Arm(BudgetLimits());
+    ExpectDeclines(&program.value(), &model, log, f.db.atom(2));
+    model = f.db;
+    ASSERT_TRUE(program.value().Materialize(&model).ok());
+    EXPECT_TRUE(program.value()
+                    .Retract(&model, Without(f.db, {f.db.atom(2)}),
+                             {f.db.atom(2)})
+                    .applied);
+  }
 }
 
 TEST(SkolemProgramTest, CompileRejectsExistentialRulesUnderNegation) {
