@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "core/check.h"
-#include "core/homomorphism.h"
 #include "core/join_plan.h"
 #include "core/substitution.h"
 
@@ -65,7 +64,7 @@ struct PreparedRule {
 //     nulls are minted.
 //
 //  2. Merge — in unit order: dedup against the fired-trigger set, the
-//     restricted/depth checks, fresh-null creation, and head insertion.
+//     depth check, fresh-null creation, and head insertion.
 //     Postings for the round's new atoms are then built before the next
 //     round reads them.
 class ChaseEngine {
@@ -131,6 +130,7 @@ class ChaseEngine {
         // already fired, so this is a fixpoint (unless depth-limited
         // triggers were skipped, in which case the true chase continues).
         result_.saturated = !skipped_depth_limited_;
+        if (skipped_depth_limited_) cap_limit_ = BudgetLimit::kDepth;
         break;
       }
       // The next round's delta is everything added this round.
@@ -141,7 +141,7 @@ class ChaseEngine {
         result_.degradation = options_.budget->reason();
       } else {
         // Engine-local caps (max_steps/max_atoms/max_null_depth or a
-        // truncated enumeration unit) stopped the run.
+        // unit the step cap truncated) stopped the run.
         result_.degradation.stage = GovernedStage::kChase;
         result_.degradation.limit = cap_limit_ != BudgetLimit::kNone
                                         ? cap_limit_
@@ -303,16 +303,6 @@ class ChaseEngine {
       for (Term t : images) key.data.push_back(t.bits());
     }
     if (!fired_.insert(key).second) return false;
-    Substitution h;
-    for (size_t i = 0; i < rule.uvars.size(); ++i) {
-      h.Bind(rule.uvars[i], images[i]);
-    }
-    if (options_.restricted) {
-      // Restricted chase: skip satisfied triggers. The trigger stays in
-      // the fired set — if it is satisfied now, it stays satisfied (the
-      // database only grows).
-      if (HasHomomorphism(rule.head, result_.database, h)) return false;
-    }
     // Null-depth bound: skip triggers that would create too-deep nulls.
     if (!rule.evars.empty() && options_.max_null_depth != 0) {
       uint32_t depth = 0;
@@ -323,7 +313,10 @@ class ChaseEngine {
         return false;
       }
     }
-    Substitution full = h;
+    Substitution full;
+    for (size_t i = 0; i < rule.uvars.size(); ++i) {
+      full.Bind(rule.uvars[i], images[i]);
+    }
     uint32_t new_depth = 1;
     for (Term t : images) {
       new_depth = std::max(new_depth, TermDepth(t) + 1);
@@ -338,20 +331,8 @@ class ChaseEngine {
     frontier_image.reserve(rule.fvar_slots.size());
     for (uint32_t s : rule.fvar_slots) frontier_image.push_back(images[s]);
     for (const Atom& ha : rule.head) {
-      Atom derived = full.Apply(ha);
-      // The restricted chase reads the database (HasHomomorphism) while
-      // merging, so it inserts per trigger with current postings; the
-      // oblivious merge buffers the round's head atoms and inserts them
-      // at the flush.
-      if (options_.restricted) {
-        if (result_.database.Insert(derived)) {
-          result_.derivation.push_back(
-              ChaseStep{ri, std::move(derived), frontier_image});
-        }
-      } else {
-        pending_atoms_.push_back(
-            PendingAtom{std::move(derived), ri, frontier_image});
-      }
+      pending_atoms_.push_back(
+          PendingAtom{full.Apply(ha), ri, frontier_image});
     }
     return true;
   }
@@ -375,7 +356,7 @@ class ChaseEngine {
   std::vector<Unit> units_;
   std::vector<std::vector<TriggerRec>> unit_triggers_;
   ChaseResult result_;
-  // The oblivious merge's head-atom candidates, awaiting the flush.
+  // The merge's head-atom candidates, awaiting the flush.
   struct PendingAtom {
     Atom atom;
     uint32_t ri = 0;
@@ -385,8 +366,9 @@ class ChaseEngine {
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
   std::unordered_map<uint32_t, uint32_t> null_depth_;
   bool skipped_depth_limited_ = false;
-  // Which engine-local cap (steps/atoms) tripped, for the degradation
-  // record; kNone when only the budget or a truncated unit stopped us.
+  // Which engine-local cap (steps/atoms/depth) tripped, for the
+  // degradation record; kNone when only the budget or a truncated unit
+  // stopped us.
   BudgetLimit cap_limit_ = BudgetLimit::kNone;
   bool truncated_units_ = false;
 };
@@ -397,16 +379,6 @@ ChaseResult Chase(const Theory& theory, const Database& input,
                   SymbolTable* symbols, const ChaseOptions& options) {
   ChaseEngine engine(theory, input, symbols, options);
   return engine.Run();
-}
-
-bool ChaseEntails(const Theory& theory, const Database& input,
-                  const Atom& ground_atom, SymbolTable* symbols,
-                  const ChaseOptions& options, bool allow_unsaturated) {
-  GEREL_CHECK(ground_atom.IsDatabaseAtom());
-  ChaseResult r = Chase(theory, input, symbols, options);
-  if (r.database.Contains(ground_atom)) return true;
-  GEREL_CHECK(r.saturated || allow_unsaturated);
-  return false;
 }
 
 std::set<std::vector<Term>> ChaseAnswers(const Theory& theory,

@@ -14,8 +14,10 @@
 // bounds the run and ChaseResult::saturated reports whether a fixpoint was
 // actually reached. The decision procedures of the library are the
 // paper's translations into Datalog (§5–§7), which terminate by
-// construction; the bounded chase serves as the reference oracle for
-// ground-truth testing and for intrinsically finite chases.
+// construction. The bounded chase is the reference semantics: `gerel
+// chase` prints it, the test oracles compare the translations against
+// it, and the semi-oblivious variant decides MFA termination
+// (analyze/termination.h) and materializes theories certified finite.
 #ifndef GEREL_CHASE_CHASE_H_
 #define GEREL_CHASE_CHASE_H_
 
@@ -43,19 +45,13 @@ struct ChaseOptions {
   // Populate the acdom built-in from the input database and theory
   // constants before chasing (paper §2, "Further Notions").
   bool populate_acdom = true;
-  // Restricted (a.k.a. standard) chase: a trigger fires only when no
-  // extension of its homomorphism already satisfies the head in the
-  // current database. The paper uses the oblivious chase (the default
-  // here); the restricted variant produces a homomorphically equivalent,
-  // usually smaller result with the same ground consequences, and is
-  // offered for comparison and as a cheaper oracle.
-  bool restricted = false;
   // Semi-oblivious (a.k.a. Skolem) chase: triggers are identified by the
   // rule and the *frontier* bindings only — two homomorphisms that agree
   // on the frontier fire once, mirroring skolemization. Termination
-  // guarantee: jointly acyclic theories (core/acyclicity.h) have
-  // terminating semi-oblivious chases, while only weakly acyclic ones
-  // are guaranteed for the fully oblivious chase.
+  // guarantee: weakly and jointly acyclic theories (core/acyclicity.h)
+  // have terminating semi-oblivious chases. Neither notion bounds the
+  // fully oblivious chase: p(X) → ∃Y p(Y) is weakly acyclic, yet its
+  // oblivious chase invents a new null for every p-atom, forever.
   bool semi_oblivious = false;
   // Optional execution budget (wall-clock deadline, atom ceiling,
   // cooperative cancellation, fault injection). Checked at round
@@ -94,15 +90,6 @@ struct ChaseResult {
 ChaseResult Chase(const Theory& theory, const Database& input,
                   SymbolTable* symbols,
                   const ChaseOptions& options = ChaseOptions());
-
-// Convenience: Σ, D ⊨ α via the chase (α must be a ground atom). Only
-// meaningful when the chase saturates within the limits; CHECK-fails
-// otherwise unless `allow_unsaturated` is set (in which case a positive
-// answer is still sound, a negative one is not).
-bool ChaseEntails(const Theory& theory, const Database& input,
-                  const Atom& ground_atom, SymbolTable* symbols,
-                  const ChaseOptions& options = ChaseOptions(),
-                  bool allow_unsaturated = false);
 
 // ans((Σ, Q), D): the set of constant tuples ~c with Q(~c) in the chase.
 std::set<std::vector<Term>> ChaseAnswers(const Theory& theory,

@@ -122,12 +122,6 @@ size_t ChaseTree::Depth(size_t i) const {
   return d;
 }
 
-size_t ChaseTree::TotalAtoms() const {
-  size_t n = 0;
-  for (const ChaseTreeNode& node : nodes) n += node.atoms.size();
-  return n;
-}
-
 Result<ChaseTree> BuildChaseTree(const Theory& theory, const Database& input,
                                  SymbolTable* symbols,
                                  const ChaseOptions& options) {

@@ -33,8 +33,6 @@ struct ChaseTree {
   std::vector<Term> NodeTerms(size_t i) const;
   // Depth of node i (root = 0).
   size_t Depth(size_t i) const;
-  // Total number of atoms across nodes.
-  size_t TotalAtoms() const;
 };
 
 // Builds a chase tree of `input` w.r.t. the normal frontier-guarded theory

@@ -198,9 +198,4 @@ bool ExistentialTopoOrder(const ExistentialDependencyGraph& graph,
   return true;
 }
 
-bool IsJointlyAcyclic(const Theory& theory) {
-  ExistentialDependencyGraph graph = BuildExistentialDependencyGraph(theory);
-  return ExistentialTopoOrder(graph, nullptr, nullptr);
-}
-
 }  // namespace gerel

@@ -90,13 +90,6 @@ bool ExistentialTopoOrder(const ExistentialDependencyGraph& graph,
 // edge. Guarantees semi-oblivious chase termination.
 bool IsWeaklyAcyclic(const Theory& theory);
 
-// Joint acyclicity: the "existential dependency" graph over existential
-// variables (y depends on y' when a frontier variable feeding y's rule
-// can be bound to a null invented for y') is acyclic. Strictly
-// generalizes weak acyclicity; guarantees semi-oblivious chase
-// termination.
-bool IsJointlyAcyclic(const Theory& theory);
-
 }  // namespace gerel
 
 #endif  // GEREL_CORE_ACYCLICITY_H_

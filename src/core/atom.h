@@ -29,7 +29,6 @@ struct Atom {
       : pred(p), args(std::move(a)), annotation(std::move(ann)) {}
 
   size_t arity() const { return args.size() + annotation.size(); }
-  bool IsAnnotated() const { return !annotation.empty(); }
 
   // True iff all argument and annotation terms are constants. (Atoms over
   // constants and nulls are "database atoms"; see Atom::IsDatabaseAtom.)

@@ -20,6 +20,8 @@ const char* BudgetLimitName(BudgetLimit limit) {
       return "rules";
     case BudgetLimit::kFault:
       return "fault";
+    case BudgetLimit::kDepth:
+      return "depth";
   }
   return "unknown";
 }

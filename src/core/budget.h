@@ -39,6 +39,7 @@ enum class BudgetLimit : uint8_t {
   kSteps,       // Engine-local step cap (e.g. ChaseOptions::max_steps).
   kRules,       // Engine-local rule cap (saturation/rewriting closures).
   kFault,       // Forced by an injected FaultPlan.
+  kDepth,       // Null-depth bound (ChaseOptions::max_null_depth).
 };
 
 const char* BudgetLimitName(BudgetLimit limit);
@@ -122,8 +123,6 @@ class ExecutionBudget {
   DegradationReason reason() const;
 
   const FaultPlan* fault_plan() const { return fault_; }
-  uint64_t max_atoms() const { return max_atoms_; }
-  bool has_deadline() const { return has_deadline_; }
 
  private:
   // Records the first trip; later trips are ignored.

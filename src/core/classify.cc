@@ -166,12 +166,6 @@ bool IsNearlyFrontierGuardedRule(const Rule& rule,
   return UnsafeVars(rule, affected).empty() && rule.EVars().empty();
 }
 
-const Atom& FrontierGuard(const Rule& rule) {
-  const Atom* g = FrontierGuardOrNull(rule);
-  GEREL_CHECK(g != nullptr);
-  return *g;
-}
-
 const Atom* FrontierGuardOrNull(const Rule& rule) {
   std::vector<Term> frontier = FrontierArgVars(rule);
   for (const Literal& l : rule.body) {

@@ -74,9 +74,7 @@ bool IsNearlyFrontierGuardedRule(const Rule& rule,
                                  const PositionSet& affected);
 
 // The fixed frontier guard fg(σ) (Def 1): the first positive body atom
-// containing all frontier variables. CHECK-fails if none exists.
-const Atom& FrontierGuard(const Rule& rule);
-// As above but returns nullptr if no frontier guard exists.
+// containing all frontier variables, or nullptr if none exists.
 const Atom* FrontierGuardOrNull(const Rule& rule);
 
 // --- Theory-level classification ----------------------------------------

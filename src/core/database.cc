@@ -23,7 +23,6 @@ void Database::CopyFrom(const Database& other) {
   by_relation_ = other.by_relation_;
   by_position_ = other.by_position_;
   indexed_upto_ = other.indexed_upto_;
-  position_index_enabled_ = other.position_index_enabled_;
 }
 
 void Database::MoveFrom(Database* other) {
@@ -33,7 +32,6 @@ void Database::MoveFrom(Database* other) {
   by_relation_ = std::move(other->by_relation_);
   by_position_ = std::move(other->by_position_);
   indexed_upto_ = std::exchange(other->indexed_upto_, 0);
-  position_index_enabled_ = other->position_index_enabled_;
   other->segments_.clear();
   other->set_.clear();
   other->by_relation_.clear();
@@ -72,7 +70,6 @@ void Database::IndexNewAtoms() {
     const Atom& a = atom(indexed_upto_);
     uint32_t index = static_cast<uint32_t>(indexed_upto_);
     by_relation_[a.pred].push_back(index);
-    if (!position_index_enabled_) continue;
     uint32_t pos = 0;
     for (Term t : a.args) {
       by_position_[PositionKey(a.pred, pos++, t)].push_back(index);
@@ -89,7 +86,7 @@ bool Database::Contains(const Atom& atom) const {
 
 int64_t Database::Find(const Atom& atom) const {
   const std::vector<uint32_t>* postings = &AtomsOf(atom.pred);
-  if (position_index_enabled_ && !atom.args.empty()) {
+  if (!atom.args.empty()) {
     const std::vector<uint32_t>& cand = AtomsAt(atom.pred, 0, atom.args[0]);
     if (cand.size() < postings->size()) postings = &cand;
   }
@@ -122,7 +119,6 @@ size_t Database::Erase(const std::vector<uint8_t>& erase,
     } else {
       (*remap)[i - first] = next++;
     }
-    if (!position_index_enabled_) continue;
     uint32_t pos = 0;
     for (Term t : a.args) keys.emplace_back(a.pred, pos++, t);
     for (Term t : a.annotation) keys.emplace_back(a.pred, pos++, t);
@@ -176,15 +172,9 @@ const std::vector<uint32_t>& Database::AtomsOf(RelationId pred) const {
 
 const std::vector<uint32_t>& Database::AtomsAt(RelationId pred, uint32_t pos,
                                                Term term) const {
-  GEREL_CHECK(position_index_enabled_);
   GEREL_CHECK(indexed_upto_ == size());  // IndexNewAtoms owed first.
   auto it = by_position_.find(PositionKey(pred, pos, term));
   return it == by_position_.end() ? kEmptyPostings : it->second;
-}
-
-void Database::set_position_index_enabled(bool enabled) {
-  GEREL_CHECK(empty());  // Must be configured before inserts.
-  position_index_enabled_ = enabled;
 }
 
 std::vector<Term> Database::ActiveTerms(RelationId except) const {
@@ -210,15 +200,6 @@ std::vector<Term> Database::ActiveConstants() const {
     for (Term t : a.AllTerms()) {
       if (t.IsConstant() && seen.insert(t.bits()).second) out.push_back(t);
     }
-  }
-  return out;
-}
-
-Database Database::Restrict(const std::vector<RelationId>& preds) const {
-  Database out;
-  for (const Atom& a : atoms()) {
-    if (std::find(preds.begin(), preds.end(), a.pred) != preds.end())
-      out.Insert(a);
   }
   return out;
 }

@@ -135,9 +135,6 @@ class Database {
   // (argument positions first, then annotation positions).
   const std::vector<uint32_t>& AtomsAt(RelationId pred, uint32_t pos,
                                        Term term) const;
-  // Whether the (relation, position, term) index is maintained.
-  void set_position_index_enabled(bool enabled);
-  bool position_index_enabled() const { return position_index_enabled_; }
 
   // Distinct ground terms occurring in atoms (constants and nulls), in
   // first-occurrence order. Excludes atoms of `except` (pass the acdom
@@ -146,9 +143,6 @@ class Database {
   std::vector<Term> ActiveTerms() const;
   // Distinct constants occurring in atoms.
   std::vector<Term> ActiveConstants() const;
-
-  // Restricts to atoms whose relation is in `preds`; preserves order.
-  Database Restrict(const std::vector<RelationId>& preds) const;
 
   friend bool operator==(const Database& a, const Database& b);
 
@@ -205,7 +199,6 @@ class Database {
   // Atoms [0, indexed_upto_) have postings; InsertDeferIndex leaves the
   // tail unindexed until IndexNewAtoms.
   size_t indexed_upto_ = 0;
-  bool position_index_enabled_ = true;
 };
 
 // The name of the built-in active-constant-domain relation (paper §2,

@@ -75,19 +75,6 @@ bool HasHomomorphism(const std::vector<Atom>& pattern, const Database& db,
   return found;
 }
 
-bool ForEachEmbedding(const std::vector<Atom>& pattern,
-                      const std::vector<Atom>& target,
-                      const Substitution& initial,
-                      const HomomorphismVisitor& visitor) {
-  std::vector<Term> pre_bound = PreBoundVars(pattern, initial);
-  JoinPlan plan(pattern, pre_bound);
-  JoinExecutor exec;
-  exec.Reset(plan);
-  SeedExecutor(pre_bound, initial, &exec);
-  return exec.ExecuteOnAtoms(plan, target,
-                             SubstitutionVisitor(initial, visitor));
-}
-
 bool DatabaseMapsInto(const Database& a, const Database& b) {
   // Nulls of `a` behave as variables of the pattern; constants are fixed.
   std::vector<Atom> pattern;

@@ -1,7 +1,7 @@
 // Homomorphism enumeration: mapping atom conjunctions into databases
-// (chase triggers, Datalog rule evaluation) or into small atom sets
-// (the saturation calculus of §6, which matches rule bodies into rule
-// heads).
+// (paper §2). These are the definition-level checks that tests compare
+// the chase and the Datalog engine against; the engines themselves run
+// compiled JoinPlans (core/join_plan.h).
 #ifndef GEREL_CORE_HOMOMORPHISM_H_
 #define GEREL_CORE_HOMOMORPHISM_H_
 
@@ -28,14 +28,6 @@ bool ForEachHomomorphism(const std::vector<Atom>& pattern, const Database& db,
 // Convenience: does any homomorphism exist?
 bool HasHomomorphism(const std::vector<Atom>& pattern, const Database& db,
                      const Substitution& initial = Substitution());
-
-// Enumerates homomorphisms h extending `initial` with h(pattern) ⊆ target,
-// where `target` is a plain atom set (its variables act as constants:
-// pattern variables may map onto them, but they are never remapped).
-bool ForEachEmbedding(const std::vector<Atom>& pattern,
-                      const std::vector<Atom>& target,
-                      const Substitution& initial,
-                      const HomomorphismVisitor& visitor);
 
 // Whether there is a homomorphism from the atoms of `a` into the atoms of
 // `b` (used for homomorphic-equivalence checks of chase results).

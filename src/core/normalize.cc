@@ -137,12 +137,9 @@ Theory Normalize(const Theory& theory, SymbolTable* symbols,
     SplitHeads(stage, symbols, &next);
     stage = std::move(next);
   }
-  if (options.guard_existential_rules) {
-    Theory next;
-    GuardExistentialRules(stage, symbols, &next);
-    stage = std::move(next);
-  }
-  return stage;
+  Theory guarded;
+  GuardExistentialRules(stage, symbols, &guarded);
+  return guarded;
 }
 
 bool IsNormal(const Theory& theory) {

@@ -25,7 +25,6 @@ namespace gerel {
 struct NormalizeOptions {
   bool extract_constants = true;
   bool split_heads = true;
-  bool guard_existential_rules = true;
 };
 
 // Returns an equivalent (w.r.t. ground atomic consequences over the

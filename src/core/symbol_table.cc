@@ -37,16 +37,6 @@ int SymbolTable::RelationArity(RelationId id) const {
   return relation_arities_[id];
 }
 
-void SymbolTable::SetRelationArity(RelationId id, int arity) {
-  GEREL_CHECK(id < relation_arities_.size());
-  int& recorded = relation_arities_[id];
-  if (recorded < 0) {
-    recorded = arity;
-  } else {
-    GEREL_CHECK(recorded == arity);
-  }
-}
-
 RelationId SymbolTable::FreshRelation(std::string_view base, int arity) {
   std::string candidate;
   do {

@@ -36,7 +36,6 @@ class SymbolTable {
   // Arity of the relation (args + annotation positions), or -1 if not yet
   // recorded.
   int RelationArity(RelationId id) const;
-  void SetRelationArity(RelationId id, int arity);
   size_t NumRelations() const { return relation_names_.size(); }
   // Fresh relation derived from `base`, guaranteed unique ("base#k").
   RelationId FreshRelation(std::string_view base, int arity);

@@ -25,8 +25,6 @@ struct DatalogOptions {
   bool seminaive = true;
   // Populate the acdom built-in before evaluation.
   bool populate_acdom = true;
-  // Safety valve on fixpoint rounds per stratum; 0 = unlimited.
-  size_t max_rounds = 0;
   // Optional execution budget; checked at round boundaries and,
   // amortized, inside rule evaluation. Not owned. Exhaustion stops the
   // pass cleanly with complete = false: the partial fixpoint is sound

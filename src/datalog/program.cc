@@ -294,13 +294,11 @@ struct DatalogProgram::Rep {
   // Runs all strata over *db. For a full pass the first round of each
   // stratum scans the whole database; for an incremental pass every
   // stratum starts semi-naive from [delta_begin, db->size()).
-  Result<EvalPassStats> RunPass(Database* db, bool incremental,
-                                size_t delta_begin);
+  EvalPassStats RunPass(Database* db, bool incremental, size_t delta_begin);
 };
 
-Result<EvalPassStats> DatalogProgram::Rep::RunPass(Database* db,
-                                                   bool incremental,
-                                                   size_t delta_begin) {
+EvalPassStats DatalogProgram::Rep::RunPass(Database* db, bool incremental,
+                                           size_t delta_begin) {
   EvalPassStats pass;
   size_t initial = db->size();
   ExecutionBudget* budget = options.budget;
@@ -335,9 +333,6 @@ Result<EvalPassStats> DatalogProgram::Rep::RunPass(Database* db,
       if (budget != nullptr && budget->exhausted()) pass.complete = false;
       if (!pass.complete || added == 0) break;
       win_begin = delta_end;
-      if (options.max_rounds != 0 && pass.rounds >= options.max_rounds) {
-        return Status::Error("max_rounds exceeded");
-      }
     }
     for (size_t k = 0; k < evaluators.size(); ++k) {
       RuleStats taken = evaluators[k].TakeStats();
@@ -421,13 +416,12 @@ Result<EvalPassStats> DatalogProgram::Materialize(Database* db) {
   if (rep_->options.populate_acdom) {
     PopulateAcdom(rep_->theory, rep_->symbols, db);
   }
-  Result<EvalPassStats> pass =
+  EvalPassStats pass =
       rep_->RunPass(db, /*incremental=*/false, /*delta_begin=*/0);
   // The log licenses DRed only over a complete negation-free fixpoint: a
   // truncated pass may have skipped derivations whose absence a later
   // overdelete would misread.
-  rep_->log_valid = slog != nullptr && !rep_->has_negation && pass.ok() &&
-                    pass.value().complete;
+  rep_->log_valid = slog != nullptr && !rep_->has_negation && pass.complete;
   return pass;
 }
 
@@ -439,9 +433,8 @@ Result<EvalPassStats> DatalogProgram::ExtendWithDelta(Database* db,
         "invalidate derivations made through negation; re-Materialize)");
   }
   GEREL_CHECK(delta_begin <= db->size());
-  Result<EvalPassStats> pass =
-      rep_->RunPass(db, /*incremental=*/true, delta_begin);
-  if (!pass.ok() || !pass.value().complete) rep_->log_valid = false;
+  EvalPassStats pass = rep_->RunPass(db, /*incremental=*/true, delta_begin);
+  if (!pass.complete) rep_->log_valid = false;
   return pass;
 }
 

@@ -23,7 +23,6 @@ struct Stratification {
   std::unordered_map<RelationId, uint32_t> relation_stratum;
 
   size_t NumStrata() const { return strata.size(); }
-  bool IsSemipositive() const { return strata.size() <= 1; }
 };
 
 // Stratifies `theory` (existential rules allowed; only negation matters).

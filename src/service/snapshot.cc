@@ -209,6 +209,7 @@ class Reader {
     uint8_t stage = U8();
     uint8_t limit = U8();
     d.round = U64();
+    // kDepth (after kFault) stays out: PreparedKb never bounds null depth.
     if (stage > static_cast<uint8_t>(GovernedStage::kSnapshot) ||
         limit > static_cast<uint8_t>(BudgetLimit::kFault)) {
       ok_ = false;

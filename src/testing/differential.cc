@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 #include <unistd.h>
@@ -15,8 +17,10 @@
 #include "core/budget.h"
 #include "core/classify.h"
 #include "core/fault.h"
+#include "core/normalize.h"
 #include "core/printer.h"
 #include "datalog/evaluator.h"
+#include "datalog/program.h"
 #include "service/prepared_kb.h"
 #include "testing/shrink.h"
 #include "transform/pipeline.h"
@@ -1106,6 +1110,129 @@ DiffReport RunDifferential(unsigned seed, size_t iters,
 
 namespace {
 
+// A Skolem null's identity: the rule, the index of the existential
+// variable in Rule::EVars() order, and the frontier image.
+struct SkolemTerm {
+  uint32_t rule = 0;
+  uint32_t evar = 0;
+  std::vector<Term> frontier;
+};
+
+// Renders every atom of `db` with each null named by its Skolem term,
+// "f<rule>.<evar>(<frontier>)", so two models whose nulls carry
+// different ids compare as sets of strings.
+std::set<std::string> SkolemRendering(
+    const Database& db, const std::unordered_map<uint32_t, SkolemTerm>& skolem,
+    const SymbolTable& symbols) {
+  std::unordered_map<uint32_t, std::string> names;
+  std::function<std::string(Term)> name = [&](Term t) -> std::string {
+    if (!t.IsNull()) return symbols.ConstantName(t);
+    auto it = skolem.find(t.id());
+    // Nulls of the input database keep their ids on both sides.
+    if (it == skolem.end()) return IndexedName("_", t.id());
+    auto known = names.find(t.id());
+    if (known != names.end()) return known->second;
+    std::string out = IndexedName("f", it->second.rule) + "." +
+                      std::to_string(it->second.evar) + "(";
+    for (size_t i = 0; i < it->second.frontier.size(); ++i) {
+      if (i > 0) out += ',';
+      out += name(it->second.frontier[i]);
+    }
+    out += ")";
+    names.emplace(t.id(), out);
+    return out;
+  };
+  std::set<std::string> out;
+  for (const Atom& a : db.atoms()) {
+    std::string text = symbols.RelationName(a.pred) + "(";
+    std::vector<Term> terms = a.AllTerms();
+    for (size_t i = 0; i < terms.size(); ++i) {
+      if (i > 0) text += i == a.args.size() ? ';' : ',';
+      text += name(terms[i]);
+    }
+    out.insert(text + ")");
+  }
+  return out;
+}
+
+// The Skolem program of a certified theory against its semi-oblivious
+// chase (Zhang, Zhang & You: a finite Skolem chase is the Skolem
+// program's least model). Both run the normalized theory over `db`, each
+// on its own copy of `symbols`; the models must agree atom for atom once
+// every null is named by its Skolem term. Returns a failure detail, or
+// the empty string when they agree.
+std::string CompareProgramWithChase(const Theory& theory, const Database& db,
+                                    const SymbolTable& symbols,
+                                    const ChaseOptions& caps) {
+  SymbolTable base = symbols;
+  Theory normal = Normalize(theory, &base);
+  SymbolTable chase_syms = base;
+  ChaseOptions copts = caps;
+  copts.semi_oblivious = true;
+  ChaseResult run = Chase(normal, db, &chase_syms, copts);
+  if (!run.saturated) {
+    return "the normalized theory's chase hit its caps (" +
+           std::to_string(run.database.size()) + " atoms)";
+  }
+  // In normal form every rule has one head atom; a step's nulls sit at
+  // its rule's existential positions (found once per rule).
+  std::vector<std::vector<size_t>> existential_at(normal.size());
+  for (size_t ri = 0; ri < normal.size(); ++ri) {
+    const Rule& rule = normal.rules()[ri];
+    std::vector<Term> evars = rule.EVars();
+    if (evars.empty()) continue;
+    std::vector<Term> head = rule.head[0].AllTerms();
+    for (Term v : evars) {
+      existential_at[ri].push_back(
+          std::find(head.begin(), head.end(), v) - head.begin());
+    }
+  }
+  std::unordered_map<uint32_t, SkolemTerm> chase_skolem;
+  for (const ChaseStep& step : run.derivation) {
+    const std::vector<size_t>& at = existential_at[step.rule_index];
+    for (uint32_t k = 0; k < at.size(); ++k) {
+      chase_skolem[step.atom.TermAt(at[k]).id()] =
+          SkolemTerm{step.rule_index, k, step.frontier_image};
+    }
+  }
+
+  SymbolTable program_syms = base;
+  // The ceiling only stops a runaway program; a correct one derives no
+  // more atoms than the chase did.
+  ExecutionBudget budget(BudgetLimits{0, caps.max_atoms});
+  DatalogOptions dopts;
+  dopts.budget = &budget;
+  Result<DatalogProgram> program =
+      DatalogProgram::Compile(normal, &program_syms, dopts);
+  if (!program.ok()) return "compile: " + program.status().message();
+  Database model = db;
+  Result<EvalPassStats> pass = program.value().Materialize(&model);
+  if (!pass.ok()) return "materialize: " + pass.status().message();
+  if (!pass.value().complete) {
+    return "the program stopped at " + std::to_string(model.size()) +
+           " atoms (" + pass.value().degradation.ToString() + ")";
+  }
+  std::unordered_map<uint32_t, SkolemTerm> program_skolem;
+  program.value().ForEachSkolem([&](uint32_t rule,
+                                    const std::vector<Term>& frontier,
+                                    const std::vector<Term>& nulls) {
+    for (uint32_t k = 0; k < nulls.size(); ++k) {
+      program_skolem[nulls[k].id()] = SkolemTerm{rule, k, frontier};
+    }
+  });
+
+  std::set<std::string> chase_atoms =
+      SkolemRendering(run.database, chase_skolem, chase_syms);
+  std::set<std::string> program_atoms =
+      SkolemRendering(model, program_skolem, program_syms);
+  if (run.database.size() == model.size() && chase_atoms == program_atoms) {
+    return "";
+  }
+  return "chase " + std::to_string(run.database.size()) + " atoms, program " +
+         std::to_string(model.size()) + ": " +
+         DescribeFactDiff(chase_atoms, program_atoms);
+}
+
 // One termination-lane case: see the RunTermination header comment for
 // the checked properties.
 CaseVerdict CheckTerminationCase(const GeneratedCase& c,
@@ -1153,6 +1280,11 @@ CaseVerdict CheckTerminationCase(const GeneratedCase& c,
                       std::to_string(run.database.size()) + " atoms, " +
                       std::to_string(run.steps) + " steps)");
     }
+    // Lane: the certified theory's Skolem program materializes the
+    // chase's model, up to the names of the nulls.
+    std::string mismatch =
+        CompareProgramWithChase(c.theory, c.database, *symbols, copts);
+    if (!mismatch.empty()) return fail("program-vs-chase", mismatch);
   }
 
   // Lane: planner agreement. For weakly frontier-guarded negation-free

@@ -163,6 +163,10 @@ DiffReport RunCrud(unsigned seed, size_t iters,
 //   - a *certified* theory's semi-oblivious chase must saturate over the
 //     generated database within generous caps — a terminating
 //     certificate that fails to terminate is a lane failure;
+//   - for a certified theory, the normalized theory's Skolem program
+//     (DatalogProgram) must materialize the same model as its
+//     semi-oblivious chase, atom for atom once each null is named by its
+//     Skolem term (lane `program-vs-chase`);
 //   - for weakly frontier-guarded negation-free cases, a PreparedKb with
 //     the certificate-driven planner enabled must agree with one with
 //     the planner disabled: equal answers when both are complete, and

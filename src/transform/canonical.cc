@@ -4,8 +4,6 @@
 #include <map>
 #include <vector>
 
-#include "core/substitution.h"
-
 namespace gerel {
 
 namespace {
@@ -176,15 +174,6 @@ std::string CanonicalRulesString(const std::vector<Rule>& rules,
                                  const SymbolTable& symbols,
                                  const RelationRenames* renames) {
   return Canonicalize(rules, symbols, renames).text;
-}
-
-Rule CanonicalizeVariables(const Rule& rule, SymbolTable* symbols) {
-  CanonicalForm form = Canonicalize({rule}, *symbols, nullptr);
-  Substitution rename;
-  for (const auto& [var, index] : form.naming) {
-    rename.Bind(var, symbols->Variable(IndexedName("V", index)));
-  }
-  return rename.Apply(rule);
 }
 
 }  // namespace gerel

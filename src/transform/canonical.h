@@ -32,10 +32,6 @@ std::string CanonicalRulesString(const std::vector<Rule>& rules,
                                  const SymbolTable& symbols,
                                  const RelationRenames* renames = nullptr);
 
-// Renames the variables of `rule` to canonical names V0, V1, ... in the
-// canonical order, interned in `symbols`. Preserves rule semantics.
-Rule CanonicalizeVariables(const Rule& rule, SymbolTable* symbols);
-
 }  // namespace gerel
 
 #endif  // GEREL_TRANSFORM_CANONICAL_H_

@@ -84,8 +84,9 @@ TEST(ChaseTreeTest, DatalogAtomsOverRootTermsStayInRoot) {
   Theory t = ParseTheory("e(X, Y) -> f(Y, X).", &syms).value();
   Database db = ParseDatabase("e(a, b).", &syms).value();
   ChaseTree tree = BuildChaseTree(t, db, &syms).value();
-  EXPECT_EQ(tree.nodes.size(), 1u);
-  EXPECT_EQ(tree.TotalAtoms(), db.size() + /*acdom*/ 2 + /*derived*/ 1);
+  ASSERT_EQ(tree.nodes.size(), 1u);
+  EXPECT_EQ(tree.nodes[0].atoms.size(),
+            db.size() + /*acdom*/ 2 + /*derived*/ 1);
 }
 
 TEST(ChaseTreeTest, FactRuleHeadsGoToRoot) {

@@ -591,6 +591,19 @@ TEST(CliTest, ChaseDegradesOnTimeoutWithExit2) {
       << r.output;
 }
 
+TEST(CliTest, ChaseDepthBoundDegradesWithDepthCause) {
+  // Only the null-depth bound stops this run (10 of the 1,000,000
+  // allowed steps), so the degradation must name it, not the step cap.
+  CommandResult r =
+      RunCli("chase " + Data("nonterminating.gerel") + " --max-depth=2");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("10 steps, saturated=0"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("degraded (chase: depth at round 5)"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(CliTest, GerelFaultEnvForcesDeterministicExhaustion) {
   CommandResult r = RunRaw("GEREL_FAULT=exhaust=chase@1 " +
                            std::string(GEREL_CLI_PATH) + " chase " +

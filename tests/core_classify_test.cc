@@ -183,8 +183,9 @@ TEST(FrontierGuardTest, PicksFirstCoveringAtom) {
       ParseRule("hasauthor(X, Y), hastopic(X, Z), scientific(Z) -> q(Y)",
                 &syms);
   ASSERT_TRUE(r.ok());
-  const Atom& g = FrontierGuard(r.value());
-  EXPECT_EQ(g.pred, syms.Relation("hasauthor"));
+  const Atom* g = FrontierGuardOrNull(r.value());
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->pred, syms.Relation("hasauthor"));
 }
 
 TEST(FrontierGuardTest, NullWhenNoGuardExists) {

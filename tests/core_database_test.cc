@@ -65,17 +65,6 @@ TEST(DatabaseTest, ActiveTermsAndConstants) {
   EXPECT_EQ(constants[0], a);
 }
 
-TEST(DatabaseTest, RestrictKeepsOnlyGivenRelations) {
-  SymbolTable syms;
-  Result<Database> db = ParseDatabase("r(a). s(a). t(a).", &syms);
-  ASSERT_TRUE(db.ok());
-  Database out =
-      db.value().Restrict({syms.Relation("r"), syms.Relation("t")});
-  EXPECT_EQ(out.size(), 2u);
-  EXPECT_TRUE(out.Contains(Atom(syms.Relation("r"), {syms.Constant("a")})));
-  EXPECT_FALSE(out.Contains(Atom(syms.Relation("s"), {syms.Constant("a")})));
-}
-
 TEST(DatabaseTest, EqualityIsSetEquality) {
   SymbolTable syms;
   Result<Database> d1 = ParseDatabase("r(a). s(b).", &syms);
@@ -110,16 +99,6 @@ TEST(AcdomTest, AcdomAtomsDoNotFeedTheDomain) {
   EXPECT_EQ(d.AtomsOf(acdom).size(), 1u);
 }
 
-TEST(DatabaseTest, DisablingPositionIndex) {
-  Database db;
-  db.set_position_index_enabled(false);
-  SymbolTable syms;
-  RelationId r = syms.Relation("r", 1);
-  db.Insert(Atom(r, {syms.Constant("a")}));
-  EXPECT_EQ(db.AtomsOf(r).size(), 1u);
-  EXPECT_FALSE(db.position_index_enabled());
-}
-
 TEST(DatabaseTest, FindReturnsTheIndexThroughThePostings) {
   SymbolTable syms;
   Result<Database> parsed =
@@ -142,14 +121,6 @@ TEST(DatabaseTest, FindReturnsTheIndexThroughThePostings) {
   EXPECT_EQ(db.Find(Atom(r, {a, c})), -1);
   EXPECT_EQ(db.Find(Atom(r, {b, c})), 2);
   EXPECT_EQ(db.Find(Atom(r, {c, a})), 3);
-  // Without the position index the relation's postings are scanned.
-  Database flat;
-  flat.set_position_index_enabled(false);
-  for (const Atom& atom : db.atoms()) flat.Insert(atom);
-  for (size_t i = 0; i < db.size(); ++i) {
-    EXPECT_EQ(flat.Find(db.atom(i)), static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(flat.Find(Atom(r, {a, c})), -1);
 }
 
 // Regression: the position-index key used to pack (pred, pos, term) as

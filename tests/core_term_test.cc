@@ -70,7 +70,7 @@ TEST(SymbolTableTest, RelationArityLazilyRecorded) {
   SymbolTable syms;
   RelationId r = syms.Relation("r");
   EXPECT_EQ(syms.RelationArity(r), -1);
-  syms.SetRelationArity(r, 3);
+  EXPECT_EQ(syms.Relation("r", 3), r);
   EXPECT_EQ(syms.RelationArity(r), 3);
 }
 

@@ -30,7 +30,6 @@ TEST(StratifierTest, PositiveProgramIsOneStratum) {
   Result<Stratification> s = Stratify(f.theory);
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s.value().NumStrata(), 1u);
-  EXPECT_TRUE(s.value().IsSemipositive());
 }
 
 TEST(StratifierTest, NegationForcesNewStratum) {

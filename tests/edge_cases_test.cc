@@ -53,20 +53,6 @@ TEST(ChaseEdgeTest, MultiHeadProvenanceRecordsEveryAtom) {
   EXPECT_EQ(r.derivation[1].rule_index, 0u);
 }
 
-TEST(ChaseEdgeTest, RestrictedAndDepthBoundCompose) {
-  SymbolTable syms;
-  Theory t =
-      ParseTheory("r(X) -> exists Y. e(X, Y).\ne(X, Y) -> r(Y).", &syms)
-          .value();
-  Database db = ParseDatabase("r(c).", &syms).value();
-  ChaseOptions opts;
-  opts.restricted = true;
-  opts.max_null_depth = 2;
-  ChaseResult r = Chase(t, db, &syms, opts);
-  EXPECT_FALSE(r.saturated);
-  EXPECT_LE(r.database.AtomsOf(syms.Relation("e")).size(), 2u);
-}
-
 // --- Normalization --------------------------------------------------------
 
 TEST(NormalizeEdgeTest, ConstantInHeadOnly) {
@@ -124,22 +110,6 @@ TEST(DatalogEdgeTest, NegationOnDerivedRelationAcrossStrata) {
   ASSERT_EQ(r.value().database.AtomsOf(root).size(), 1u);
   EXPECT_TRUE(r.value().database.Contains(
       Atom(root, {syms.Constant("a")})));
-}
-
-TEST(DatalogEdgeTest, MaxRoundsSafetyValve) {
-  SymbolTable syms;
-  Theory t = ParseTheory("e(X, Y) -> t(X, Y).\ne(X, Y), t(Y, Z) -> t(X, Z).",
-                         &syms)
-                 .value();
-  Database db;
-  RelationId e = syms.Relation("e");
-  for (int i = 0; i < 30; ++i) {
-    db.Insert(Atom(e, {syms.Constant(IndexedName("n", i)),
-                       syms.Constant(IndexedName("n", i + 1))}));
-  }
-  DatalogOptions opts;
-  opts.max_rounds = 2;
-  EXPECT_FALSE(EvaluateDatalog(t, db, &syms, opts).ok());
 }
 
 TEST(DatalogEdgeTest, RulesWithConstantsEvaluate) {

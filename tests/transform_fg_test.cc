@@ -63,14 +63,6 @@ TEST(CanonicalTest, RelationRenamesApply) {
             CanonicalRuleString(b, syms, &ren2));
 }
 
-TEST(CanonicalTest, CanonicalizeVariablesPreservesStructure) {
-  SymbolTable syms;
-  Rule a = MustParseRule("e(Q, W), e(W, Q) -> t(Q)", &syms);
-  Rule c = CanonicalizeVariables(a, &syms);
-  EXPECT_EQ(CanonicalRuleString(a, syms), CanonicalRuleString(c, syms));
-  EXPECT_EQ(c.body.size(), 2u);
-}
-
 TEST(SelectionTest, CountsForSmallRule) {
   SymbolTable syms;
   Rule r = MustParseRule("e(X, Y) -> t(X)", &syms);
